@@ -572,10 +572,10 @@ func BenchmarkRuntimes(b *testing.B) {
 	}
 }
 
-// benchTCPCodec measures a full training run over loopback TCP with the
-// given frame codec; the payload is a p=2048 gradient, so codec overhead is
-// visible.
-func benchTCPCodec(b *testing.B, codec string) {
+// BenchmarkTCPCodecWire measures a full training run over loopback TCP in
+// the wire frame format; the payload is a p=2048 gradient, so codec overhead
+// is visible.
+func BenchmarkTCPCodecWire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		job, err := core.NewJob(core.Spec{
 			Examples: 10, Workers: 10, Load: 2,
@@ -589,16 +589,8 @@ func benchTCPCodec(b *testing.B, codec string) {
 			Plan: job.Plan, Model: job.Model, Units: job.Units, Opt: job.Opt,
 			Iterations: 5,
 		}
-		if _, err := cluster.RunLive(cfg, cluster.LiveOptions{
-			TimeScale: 1e-9, TCP: true, Codec: codec,
-		}); err != nil {
+		if _, err := cluster.RunLive(cfg, cluster.LiveOptions{TimeScale: 1e-9, TCP: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkTCPCodecGob measures the gob frame codec end to end.
-func BenchmarkTCPCodecGob(b *testing.B) { benchTCPCodec(b, "gob") }
-
-// BenchmarkTCPCodecWire measures the compact binary frame codec end to end.
-func BenchmarkTCPCodecWire(b *testing.B) { benchTCPCodec(b, "wire") }

@@ -50,10 +50,9 @@ func main() {
 		seed      = fs.Uint64("seed", 1, "shared seed (must match across processes)")
 		index     = fs.Int("index", 0, "worker index (worker role only)")
 		wait      = fs.Duration("timeout", 60*time.Second, "per-iteration / accept timeout")
-		frame     = fs.String("frame", "gob", "frame encoding: gob|wire (must match across processes)")
 		codec     = fs.String("codec", "raw64", "payload codec: raw64|f32|topk (must match across processes)")
 		topk      = fs.Int("topk", 0, "coordinates kept per reply vector with -codec topk (0 = dim/16)")
-		chunk     = fs.Int("chunk", 0, "wire framing chunk size in elements for -frame wire (0 = default)")
+		chunk     = fs.Int("chunk", 0, "wire framing chunk size in elements (0 = default; must match across processes)")
 		pipe      = fs.Bool("pipelined", false, "pipelined iterations: cancel stale in-flight work on a fresher query (must match across processes)")
 		drop      = fs.Float64("drop", 0, "master-side probability in [0,1) of losing each worker transmission")
 		dropSeed  = fs.Uint64("drop-seed", 0, "seed for the -drop fault pattern (master role only)")
@@ -120,13 +119,13 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("master: listening on %s, waiting for %d workers\n", *addr, *n)
-		var fab cluster.Fabric
+		var shardLns []net.Listener
 		if len(shardAddrs) > 0 {
 			// Bind every derived shard data port before accepting workers: the
 			// ports are implicit (master port +1..+M), so a collision with an
 			// unrelated service must fail fast, naming the port, rather than
 			// surface as a hung worker dial mid-handshake.
-			shardLns := make([]net.Listener, len(shardAddrs))
+			shardLns = make([]net.Listener, len(shardAddrs))
 			for s, sa := range shardAddrs {
 				if shardLns[s], err = net.Listen("tcp", sa); err != nil {
 					fail(fmt.Errorf("shard %d data port %s is unavailable (derived as master port +%d; pick a master port with %d free successors): %w",
@@ -134,10 +133,8 @@ func main() {
 				}
 			}
 			fmt.Printf("master: %d shard data planes on %s .. %s\n", len(shardAddrs), shardAddrs[0], shardAddrs[len(shardAddrs)-1])
-			fab, err = cluster.ServeMasterScatterPool(ln, shardLns, *n, *n, *wait, *frame, nil, comm, job.Model.Dim())
-		} else {
-			fab, err = cluster.ServeMaster(ln, *n, *wait, *frame, comm, job.Model.Dim())
 		}
+		fab, err := cluster.ServeMaster(ln, shardLns, *n, *n, *wait, nil, comm, job.Model.Dim())
 		if err != nil {
 			fail(err)
 		}
@@ -204,7 +201,6 @@ func main() {
 			Units:              job.Units,
 			Latency:            cluster.Zero{},
 			TimeScale:          1,
-			Codec:              *frame,
 			Comm:               comm,
 			Faults:             job.Faults,
 			ComputeParallelism: *parallel,

@@ -44,7 +44,7 @@
 // decodability, advance the optimizer, record stats). The three runtimes —
 // Spec.Runtime RuntimeSim (discrete-event simulated), RuntimeLive (one
 // goroutine per worker over channels) and RuntimeTCP (real loopback
-// sockets, gob or compact binary frames) — are thin transports feeding that
+// sockets, compact binary frames) — are thin transports feeding that
 // engine, so recovery thresholds and comm loads are identical across them
 // for the same spec and seed. Spec.Pipelined switches every runtime from
 // barrier iterations to pipelined ones: the next query is broadcast the
@@ -210,11 +210,10 @@
 //     toward the lower index, so all runtimes keep the same set. Queries
 //     stay dense (sparsifying the iterate would change the algorithm).
 //
-// On the TCP runtime's compact binary frames, payload vectors stream in
+// On the TCP runtime's compact binary frames, payload vectors are staged in
 // fixed-size chunks (Spec.WireChunk elements, default 512 = 4 KiB);
 // chunking is pure staging — the byte stream is identical for every chunk
-// size — and the master can fold each decoded chunk slice as it arrives
-// (wire.Reader.ReadReplyChunks over coding.SliceDecoder). The TCP handshake
+// size. The TCP handshake
 // carries the codec, K and chunk size and rejects mismatched processes at
 // connect time. The simulator models the reduced payload: upload and
 // ingress-drain latencies scale by the codec's byte fraction.

@@ -189,7 +189,7 @@ func (c *Config) buffers() *BufferPool {
 // Buffers exposes the run's payload-buffer pool (created on first call),
 // for callers that accept the run's data-plane connections themselves and
 // want reply deserialization to land in the same pool the engine recycles
-// into — see ServeMasterPool. Config.Plan and Config.Model must be set.
+// into — see ServeMaster. Config.Plan and Config.Model must be set.
 func (c *Config) Buffers() *BufferPool { return c.buffers() }
 
 func (c *Config) validate() error {

@@ -709,31 +709,6 @@ func TestTCPMatchesChannelRuntime(t *testing.T) {
 	}
 }
 
-func TestTCPWireCodecMatchesGob(t *testing.T) {
-	mk := func() (*Config, *model.Logistic) {
-		return buildRun(t, "bcc", 8, 16, 2, 6, 27, Zero{})
-	}
-	cfgA, _ := mk()
-	a, err := RunLive(cfgA, LiveOptions{TimeScale: 1e-5, TCP: true, Codec: "gob"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgB, _ := mk()
-	bRes, err := RunLive(cfgB, LiveOptions{TimeScale: 1e-5, TCP: true, Codec: "wire"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := vecmath.MaxAbsDiff(a.FinalW, bRes.FinalW); d != 0 {
-		t.Fatalf("wire and gob codecs produced different weights: %v", d)
-	}
-	// Arrival order (and hence how many messages the master counts) is
-	// scheduling-dependent in live mode; both runs must simply have moved
-	// real payload.
-	if a.TotalBytes == 0 || bRes.TotalBytes == 0 {
-		t.Fatalf("payload bytes: gob %d, wire %d", a.TotalBytes, bRes.TotalBytes)
-	}
-}
-
 func TestTCPWireCodecComplexScheme(t *testing.T) {
 	// cyclicmds ships Imag payloads; the wire codec must carry them.
 	cfg, mod := buildRun(t, "cyclicmds", 8, 8, 2, 5, 28, Zero{})
@@ -747,10 +722,16 @@ func TestTCPWireCodecComplexScheme(t *testing.T) {
 	}
 }
 
+// TestUnknownCodecRejected pins wire as the only TCP frame format: any other
+// LiveOptions.Codec — including the retired "gob" — fails with an error
+// naming the format that remains.
 func TestUnknownCodecRejected(t *testing.T) {
-	cfg, _ := buildRun(t, "bcc", 8, 16, 2, 2, 29, Zero{})
-	if _, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, TCP: true, Codec: "json"}); err == nil {
-		t.Fatal("unknown codec accepted")
+	for _, codec := range []string{"json", "gob"} {
+		cfg, _ := buildRun(t, "bcc", 8, 16, 2, 2, 29, Zero{})
+		_, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, TCP: true, Codec: codec})
+		if err == nil || !strings.Contains(err.Error(), "wire is the only") {
+			t.Fatalf("codec %q: got %v, want an error naming wire as the only format", codec, err)
+		}
 	}
 }
 
@@ -832,7 +813,7 @@ func TestServeMasterExternalWorkers(t *testing.T) {
 		}
 		go func() { _ = DialAndServeWorker(addr, env) }()
 	}
-	fab, err := ServeMaster(ln, 4, 10*time.Second, "gob", CommOptions{}, cfg.Model.Dim())
+	fab, err := ServeMaster(ln, nil, 4, 4, 10*time.Second, nil, CommOptions{}, cfg.Model.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -854,7 +835,7 @@ func TestServeMasterAcceptTimeout(t *testing.T) {
 	}
 	defer ln.Close()
 	// No workers dial: accept must time out rather than hang.
-	if _, err := ServeMaster(ln, 1, 100*time.Millisecond, "gob", CommOptions{}, 4); err == nil {
+	if _, err := ServeMaster(ln, nil, 1, 1, 100*time.Millisecond, nil, CommOptions{}, 4); err == nil {
 		t.Fatal("accept with no workers should time out")
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -9,95 +8,9 @@ import (
 	"bcc/internal/wire"
 )
 
-// frameCodec abstracts the on-the-wire encoding of the TCP fabric's three
-// frame types. Implementations are NOT safe for concurrent use; the fabric
-// gives each connection direction its own codec instance.
-type frameCodec interface {
-	WriteHello(Hello) error
-	ReadHello() (Hello, error)
-	WriteModel(ModelUpdate) error
-	ReadModel() (ModelUpdate, error)
-	WriteReply(Reply) error
-	ReadReply() (Reply, error)
-}
-
-// newFrameCodec builds a codec of the named kind over the connection.
-// Supported: "gob" (default; self-describing, robust) and "wire" (compact
-// hand-rolled binary, ~3-5x faster on gradient payloads). pool, if non-nil,
-// backs the wire codec's reply deserialization: gradient-sized payloads are
-// read straight into pooled buffers (the engine recycles them post-decode),
-// so the TCP master's steady-state receive path stops allocating. cp is the
-// resolved comm plane: the wire codec serializes payloads in the codec's
-// compact representation, while gob applies the lossy transform in place
-// before encoding (deterministically identical values, but gob's dense
-// self-describing format does not shrink the bytes on the wire — only the
-// wire frame codec realizes the compaction).
-func newFrameCodec(name string, rw io.ReadWriter, pool *BufferPool, cp commPlane) (frameCodec, error) {
-	switch name {
-	case "", "gob":
-		return &gobCodec{enc: gob.NewEncoder(rw), dec: gob.NewDecoder(rw), coder: cp.newCoder()}, nil
-	case "wire":
-		c := &wireCodec{w: wire.NewWriter(rw), r: wire.NewReader(rw)}
-		c.w.SetPayload(cp.pc)
-		c.r.SetPayload(cp.pc)
-		if pool != nil {
-			dim := pool.Dim()
-			c.alloc = func(n int) []float64 {
-				if n != dim {
-					return nil // wire falls back to a fresh allocation
-				}
-				return pool.Get()
-			}
-		}
-		return c, nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown codec %q (want gob or wire)", name)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// gob
-// ---------------------------------------------------------------------------
-
-type gobCodec struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-	// coder applies the lossy payload transform during serialization (nil for
-	// raw64). gob ships the transformed vector dense, so decoded values match
-	// the wire codec bit for bit even though gob's byte count doesn't shrink.
-	coder *wire.VecCoder
-}
-
-func (c *gobCodec) WriteHello(h Hello) error { return c.enc.Encode(&h) }
-func (c *gobCodec) ReadHello() (Hello, error) {
-	var h Hello
-	err := c.dec.Decode(&h)
-	return h, err
-}
-func (c *gobCodec) WriteModel(m ModelUpdate) error { return c.enc.Encode(&m) }
-func (c *gobCodec) ReadModel() (ModelUpdate, error) {
-	var m ModelUpdate
-	err := c.dec.Decode(&m)
-	return m, err
-}
-func (c *gobCodec) WriteReply(r Reply) error {
-	// The payload buffers are owned by this worker until the frame is
-	// serialized (the receiver gets gob's fresh copies), so transforming in
-	// place here is safe and puts the lossy step at the same wire boundary
-	// the other runtimes use.
-	applyReplyCodec(c.coder, r.Msgs)
-	return c.enc.Encode(&r)
-}
-func (c *gobCodec) ReadReply() (Reply, error) {
-	var r Reply
-	err := c.dec.Decode(&r)
-	return r, err
-}
-
-// ---------------------------------------------------------------------------
-// wire
-// ---------------------------------------------------------------------------
-
+// wireCodec frames one TCP connection of the fabric — primary, scatter shard
+// or worker side — in the wire package's binary format. It is NOT safe for
+// concurrent use in one direction; the read and write halves are independent.
 type wireCodec struct {
 	w *wire.Writer
 	r *wire.Reader
@@ -110,20 +23,34 @@ type wireCodec struct {
 	scratch wire.Reply
 }
 
-func (c *wireCodec) WriteHello(h Hello) error {
-	codec, err := wire.ParsePayloadCodec(h.Payload)
-	if err != nil {
-		return err
+// newWireCodec frames rw under the resolved comm plane cp: payloads travel
+// in the codec's compact representation at its chunk size. pool, if
+// non-nil, backs reply deserialization: gradient-sized payloads are read
+// straight into pooled buffers (the engine recycles them post-decode), so
+// the TCP master's steady-state receive path stops allocating.
+func newWireCodec(rw io.ReadWriter, pool *BufferPool, cp commPlane) *wireCodec {
+	c := &wireCodec{w: wire.NewWriter(rw), r: wire.NewReader(rw)}
+	c.w.SetPayload(cp.pc)
+	c.r.SetPayload(cp.pc)
+	if pool != nil {
+		dim := pool.Dim()
+		c.alloc = func(n int) []float64 {
+			if n != dim {
+				return nil // wire falls back to a fresh allocation
+			}
+			return pool.Get()
+		}
 	}
-	return c.w.WriteHello(wire.Hello{Worker: h.Worker, Codec: codec, TopK: h.TopK, Chunk: h.Chunk, Shards: h.Shards})
+	return c
 }
 
-func (c *wireCodec) ReadHello() (Hello, error) {
+func (c *wireCodec) WriteHello(h wire.Hello) error { return c.w.WriteHello(h) }
+
+func (c *wireCodec) ReadHello() (wire.Hello, error) {
 	if err := c.expect(wire.KindHello); err != nil {
-		return Hello{}, err
+		return wire.Hello{}, err
 	}
-	h, err := c.r.ReadHello()
-	return Hello{Worker: h.Worker, Payload: h.Codec.String(), TopK: h.TopK, Chunk: h.Chunk, Shards: h.Shards}, err
+	return c.r.ReadHello()
 }
 
 func (c *wireCodec) WriteModel(m ModelUpdate) error {
@@ -147,7 +74,13 @@ func (c *wireCodec) WriteReply(r Reply) error {
 	return c.w.WriteReply(out)
 }
 
-func (c *wireCodec) ReadReply() (Reply, error) {
+// ReadReply is the master's reply intake: it reads the next reply frame and
+// refuses one that does not come from worker (the index the connection's
+// hello announced) or whose non-nil payloads are not exactly width elements
+// (the model dimension on a primary connection, the shard's slice width on a
+// scatter one). Callers drop the connection on any error, so a malformed
+// frame never reaches the decoder.
+func (c *wireCodec) ReadReply(worker, width int) (Reply, error) {
 	if err := c.expect(wire.KindReply); err != nil {
 		return Reply{}, err
 	}
@@ -155,9 +88,16 @@ func (c *wireCodec) ReadReply() (Reply, error) {
 		return Reply{}, err
 	}
 	in := &c.scratch
+	if in.Worker != worker {
+		return Reply{}, fmt.Errorf("cluster: reply from worker %d on worker %d's connection", in.Worker, worker)
+	}
 	rep := Reply{Iter: in.Iter, Worker: in.Worker, Compute: in.Compute}
 	rep.Msgs = make([]coding.Message, len(in.Msgs))
 	for i, m := range in.Msgs {
+		if (m.Vec != nil && len(m.Vec) != width) || (m.Imag != nil && len(m.Imag) != width) {
+			return Reply{}, fmt.Errorf("cluster: worker %d reply payload of %d/%d elements, want %d",
+				worker, len(m.Vec), len(m.Imag), width)
+		}
 		rep.Msgs[i] = coding.Message{From: m.From, Tag: m.Tag, Units: m.Units, Vec: m.Vec, Imag: m.Imag}
 	}
 	return rep, nil

@@ -28,8 +28,8 @@ func codecAxis() []CommOptions {
 }
 
 // TestScenarioConformanceCodecs extends the conformance suite with the codec
-// axis: under a lossy payload codec, the live channel runtime and BOTH tcp
-// frame encodings must reproduce the sim reference bit for bit — the lossy
+// axis: under a lossy payload codec, the live channel and tcp runtimes must
+// reproduce the sim reference bit for bit — the lossy
 // transform is a pure function applied exactly once per payload, wherever
 // each runtime's wire boundary happens to be.
 func TestScenarioConformanceCodecs(t *testing.T) {
@@ -41,7 +41,6 @@ func TestScenarioConformanceCodecs(t *testing.T) {
 	}
 	runtimes := []engineRuntime{
 		{"live", func(cfg *Config) (*Result, error) { return RunLive(cfg, opts(false, "")) }},
-		{"tcp-gob", func(cfg *Config) (*Result, error) { return RunLive(cfg, opts(true, "gob")) }},
 		{"tcp-wire", func(cfg *Config) (*Result, error) { return RunLive(cfg, opts(true, "wire")) }},
 	}
 	for _, scenario := range []string{"steady", "flaky-tail"} {
@@ -197,29 +196,26 @@ func TestCommOptionsValidation(t *testing.T) {
 
 // TestTCPHandshakeRejectsCodecMismatch pins the negotiation contract: a
 // worker announcing a different payload codec than the master must be
-// refused at accept time, for both frame encodings.
+// refused at accept time.
 func TestTCPHandshakeRejectsCodecMismatch(t *testing.T) {
-	for _, frame := range []string{"gob", "wire"} {
-		frame := frame
-		t.Run(frame, func(t *testing.T) {
-			cfg, _ := buildRun(t, "bcc", 8, 4, 2, 2, 51, Zero{})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			env := WorkerEnv{
-				Index: 0, Plan: cfg.Plan, Model: cfg.Model, Units: cfg.Units,
-				Latency: Zero{}, TimeScale: 1e-5, Codec: frame,
-				Comm: CommOptions{Payload: "f32"},
-			}
-			go func() { _ = DialAndServeWorker(ln.Addr().String(), env) }()
-			_, err = ServeMaster(ln, 1, 5*time.Second, frame, CommOptions{Payload: "topk"}, cfg.Model.Dim())
-			if err == nil || !strings.Contains(err.Error(), "payload codec mismatch") {
-				t.Fatalf("mismatched handshake accepted: %v", err)
-			}
-		})
-	}
+	t.Run("wire", func(t *testing.T) {
+		cfg, _ := buildRun(t, "bcc", 8, 4, 2, 2, 51, Zero{})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		env := WorkerEnv{
+			Index: 0, Plan: cfg.Plan, Model: cfg.Model, Units: cfg.Units,
+			Latency: Zero{}, TimeScale: 1e-5,
+			Comm: CommOptions{Payload: "f32"},
+		}
+		go func() { _ = DialAndServeWorker(ln.Addr().String(), env) }()
+		_, err = ServeMaster(ln, nil, 4, 1, 5*time.Second, nil, CommOptions{Payload: "topk"}, cfg.Model.Dim())
+		if err == nil || !strings.Contains(err.Error(), "payload codec mismatch") {
+			t.Fatalf("mismatched handshake accepted: %v", err)
+		}
+	})
 }
 
 // TestTCPChunkSizeInvariance pins the chunking contract end to end: the
@@ -335,29 +331,15 @@ func TestWireAccountingZeroOffWire(t *testing.T) {
 }
 
 // TestWireAccountingPositiveOnTCP checks the other side of the boundary:
-// a tcp run must report nonzero measured traffic in both directions, with
-// the gob encoding strictly larger than the compact wire encoding for the
-// same run.
+// a tcp run must report nonzero measured traffic in both directions.
 func TestWireAccountingPositiveOnTCP(t *testing.T) {
-	run := func(frame string) *Result {
-		t.Helper()
-		cfg, _ := buildRunDim(t, "bcc", 8, 4, 2, 3, 55, Zero{}, 64)
-		res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true, Codec: frame})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	cfg, _ := buildRunDim(t, "bcc", 8, 4, 2, 3, 55, Zero{}, 64)
+	res, err := RunLive(cfg, LiveOptions{TimeScale: 1e-5, Timeout: 30 * time.Second, TCP: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wireRes, gobRes := run("wire"), run("gob")
-	if wireRes.TotalWireIn <= 0 || wireRes.TotalWireOut <= 0 {
-		t.Fatalf("wire frames measured %d/%d bytes, want positive", wireRes.TotalWireIn, wireRes.TotalWireOut)
-	}
-	if gobRes.TotalWireIn <= wireRes.TotalWireIn {
-		t.Fatalf("gob reply traffic %d not above wire %d", gobRes.TotalWireIn, wireRes.TotalWireIn)
-	}
-	// The modelled payload accounting must be identical across frame codecs.
-	if wireRes.TotalBytes != gobRes.TotalBytes {
-		t.Fatalf("modelled bytes differ across frame codecs: %d vs %d", wireRes.TotalBytes, gobRes.TotalBytes)
+	if res.TotalWireIn <= 0 || res.TotalWireOut <= 0 {
+		t.Fatalf("wire frames measured %d/%d bytes, want positive", res.TotalWireIn, res.TotalWireOut)
 	}
 }
 

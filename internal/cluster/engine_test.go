@@ -71,14 +71,13 @@ func equivRuntimes() []engineRuntime {
 	return []engineRuntime{
 		{"sim", RunSim},
 		{"live", func(cfg *Config) (*Result, error) { return RunLive(cfg, liveOpts(false, "")) }},
-		{"tcp-gob", func(cfg *Config) (*Result, error) { return RunLive(cfg, liveOpts(true, "gob")) }},
 		{"tcp-wire", func(cfg *Config) (*Result, error) { return RunLive(cfg, liveOpts(true, "wire")) }},
 	}
 }
 
-// TestRuntimesEquivalent asserts that the sim, live and tcp runtimes (the
-// latter under both frame codecs) produce identical per-iteration recovery
-// thresholds, comm loads and payload bytes, and bit-identical weights, for
+// TestRuntimesEquivalent asserts that the sim, live and tcp runtimes
+// produce identical per-iteration recovery thresholds, comm loads and
+// payload bytes, and bit-identical weights, for
 // the same Spec-level inputs and seed — including dead-worker and DropProb
 // fault injection and pipelined mode.
 func TestRuntimesEquivalent(t *testing.T) {

@@ -47,11 +47,11 @@ type LiveOptions struct {
 	TimeScale float64
 	// Timeout aborts an iteration whose decoder starves (default 30 s).
 	Timeout time.Duration
-	// TCP routes all traffic through real loopback TCP sockets (gob-encoded)
-	// instead of in-process channels.
+	// TCP routes all traffic through real loopback TCP sockets, framed by
+	// the binary codec of internal/wire, instead of in-process channels.
 	TCP bool
-	// Codec selects the TCP frame encoding: "gob" (default) or "wire" (the
-	// compact binary codec of internal/wire). Ignored without TCP.
+	// Codec names the TCP frame format: "" or "wire", the only one; any
+	// other name is rejected. Ignored without TCP.
 	Codec string
 	// Drain makes the run end only after the fabric has drained: every
 	// in-flight straggler reply frame is read off the sockets (and counted)
@@ -315,9 +315,6 @@ type WorkerEnv struct {
 	// iteration's work: while crashed it computes and transmits nothing, and
 	// scheduled slowdown windows multiply its compute and upload latency.
 	Faults *faults.Plan
-	// Codec selects the TCP frame encoding ("" = gob); must match the
-	// master. Unused by the channel fabric.
-	Codec string
 	// Comm configures the payload codec; must match the master's
 	// Config.Comm (the TCP handshake verifies this).
 	Comm CommOptions

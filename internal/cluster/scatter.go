@@ -23,22 +23,21 @@ import (
 // payloads enter through M parallel sockets with per-shard measured byte
 // accounting.
 //
-// Slice frames are ordinary reply frames over the negotiated frame codec
-// (gob or wire) carrying the worker's metadata plus each message's
-// [lo, hi) slice. The worker applies the lossy payload transform once
-// in-process — the same wire boundary the channel fabric uses — and the
-// slice frames themselves travel raw64: a slice of a transformed vector is
-// not the transform of the slice, so re-encoding per shard would corrupt
-// values (topk) or double-quantize byte counts; shipping the transformed
-// values dense keeps every decoded coordinate bit-identical to the
-// single-socket runtimes at the cost of not realizing topk's wire-byte
-// savings on the scatter plane (measured bytes are observations, never
-// conformance inputs).
+// Slice frames are ordinary wire reply frames carrying the worker's metadata
+// plus each message's [lo, hi) slice. The worker applies the lossy payload
+// transform once in-process — the same wire boundary the channel fabric
+// uses — and the slice frames themselves travel raw64: a slice of a
+// transformed vector is not the transform of the slice, so re-encoding per
+// shard would corrupt values (topk) or double-quantize byte counts; shipping
+// the transformed values dense keeps every decoded coordinate bit-identical
+// to the single-socket runtimes at the cost of not realizing topk's
+// wire-byte savings on the scatter plane (measured bytes are observations,
+// never conformance inputs).
 //
 // The shard map (count + chunk-aligned bounds) is deterministic from the
 // run's spec, so it is never shipped whole: workers and master derive it
 // independently via shardBounds, and the handshake verifies the shard COUNT
-// (Hello.Shards) like the codec parameters — a disagreement would land
+// (wire.Hello.Shards) like the codec parameters — a disagreement would land
 // coordinates on the wrong shard.
 
 // scatterSlot is one worker's reassembly state: slices arrive on M
@@ -140,12 +139,11 @@ func (f *scatterFabric) buf() []float64 {
 
 // ingest merges one shard's slice frame into the worker's pending assembly
 // and returns the fully assembled reply once the last shard's slices are in
-// (ok=false until then). Metadata (compute time, message tags and units) is
-// identical on every shard's frame; the first to arrive fixes it.
+// (ok=false until then). The intake (wireCodec.ReadReply) has already
+// checked the frame's worker index and slice widths. Metadata (compute time,
+// message tags and units, which payloads are nil) is identical on every
+// shard's frame; the first to arrive fixes it.
 func (f *scatterFabric) ingest(shard int, rep Reply) (Reply, bool, error) {
-	if rep.Worker < 0 || rep.Worker >= len(f.slots) {
-		return Reply{}, false, fmt.Errorf("cluster: scatter frame from unknown worker %d", rep.Worker)
-	}
 	slot := &f.slots[rep.Worker]
 	lo := f.bounds[shard]
 	slot.mu.Lock()
@@ -158,6 +156,12 @@ func (f *scatterFabric) ingest(shard int, rep Reply) (Reply, bool, error) {
 		p = &scatterPending{compute: rep.Compute, msgs: make([]coding.Message, len(rep.Msgs))}
 		for i, m := range rep.Msgs {
 			p.msgs[i] = coding.Message{From: m.From, Tag: m.Tag, Units: m.Units}
+			if m.Vec != nil {
+				p.msgs[i].Vec = f.buf()
+			}
+			if m.Imag != nil {
+				p.msgs[i].Imag = f.buf()
+			}
 		}
 		slot.pending[rep.Iter] = p
 	}
@@ -167,17 +171,17 @@ func (f *scatterFabric) ingest(shard int, rep Reply) (Reply, bool, error) {
 	}
 	for i, m := range rep.Msgs {
 		dst := &p.msgs[i]
-		if len(m.Vec) > 0 {
-			if dst.Vec == nil {
-				dst.Vec = f.buf()
-			}
-			copy(dst.Vec[lo:lo+len(m.Vec)], m.Vec)
+		if (m.Vec == nil) != (dst.Vec == nil) || (m.Imag == nil) != (dst.Imag == nil) {
+			// A nil slice where another shard sent coordinates would leave
+			// this shard's range of the pooled buffer unwritten.
+			return Reply{}, false, fmt.Errorf("cluster: scatter shard %d message %d of worker %d iter %d disagrees on which payloads are nil",
+				shard, i, rep.Worker, rep.Iter)
 		}
-		if len(m.Imag) > 0 {
-			if dst.Imag == nil {
-				dst.Imag = f.buf()
-			}
-			copy(dst.Imag[lo:lo+len(m.Imag)], m.Imag)
+		if m.Vec != nil {
+			copy(dst.Vec[lo:], m.Vec)
+		}
+		if m.Imag != nil {
+			copy(dst.Imag[lo:], m.Imag)
 		}
 	}
 	p.got++
@@ -200,7 +204,8 @@ func scatterCommPlane(cp commPlane, dim int) (commPlane, error) {
 // worker, shard), each handshaking with the worker's index and the agreed
 // shard count. Must be called after the primary accept so every worker is
 // known to be dialing.
-func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n, alive int, timeout time.Duration, codecName string, pool *BufferPool, cp commPlane, dim, shards int) (*scatterFabric, error) {
+func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n, alive int, timeout time.Duration, pool *BufferPool, cp commPlane, dim int) (*scatterFabric, error) {
+	shards := len(shardLns)
 	scp, err := scatterCommPlane(cp, dim)
 	if err != nil {
 		return nil, err
@@ -218,13 +223,7 @@ func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n, alive int,
 	}
 	for s, ln := range shardLns {
 		for i := 0; i < alive; i++ {
-			if tl, ok := ln.(interface{ SetDeadline(time.Time) error }); ok && timeout > 0 {
-				if err := tl.SetDeadline(time.Now().Add(timeout)); err != nil {
-					f.Close()
-					return nil, err
-				}
-			}
-			raw, err := ln.Accept()
+			raw, err := acceptConn(ln, timeout)
 			if err != nil {
 				f.Close()
 				return nil, fmt.Errorf("cluster: scatter shard %d accept %d/%d: %w", s, i, alive, err)
@@ -232,13 +231,8 @@ func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n, alive int,
 			// Nested counters: the inner conn feeds the shard's own in/out
 			// totals, the outer one the fabric-wide totals the engine samples.
 			conn := CountConn(CountConn(raw, &f.shardIn[s], &f.shardOut[s]), &f.bytesIn, &f.bytesOut)
-			codec, err := newFrameCodec(codecName, conn, nil, scp)
-			if err != nil {
-				conn.Close()
-				f.Close()
-				return nil, err
-			}
-			hello, err := codec.ReadHello()
+			codec := newWireCodec(conn, nil, scp)
+			hello, err := readHello(conn, codec, timeout)
 			if err != nil {
 				conn.Close()
 				f.Close()
@@ -257,24 +251,23 @@ func newScatterFabric(primary *tcpFabric, shardLns []net.Listener, n, alive int,
 			}
 			f.shardConns = append(f.shardConns, conn)
 			f.readers.Add(1)
-			go func(shard int, codec frameCodec) {
+			go func(shard int, codec *wireCodec, worker int) {
 				defer f.readers.Done()
+				width := f.bounds[shard+1] - f.bounds[shard]
 				for {
-					rep, err := codec.ReadReply()
+					rep, err := codec.ReadReply(worker, width)
 					if err != nil {
+						// Closed, or a malformed slice frame: abandon this
+						// connection; the iteration times out rather than
+						// decoding garbage.
 						return
 					}
 					full, ok, err := f.ingest(shard, rep)
-					if err != nil {
-						// Malformed slice frame: abandon this connection; the
-						// iteration times out rather than decoding garbage.
+					if err != nil || (ok && !f.deliver(f.out, full)) {
 						return
 					}
-					if ok {
-						f.out <- full
-					}
 				}
-			}(s, codec)
+			}(s, codec, hello.Worker)
 		}
 	}
 	return f, nil
@@ -296,36 +289,10 @@ func listenShards(shards int) ([]net.Listener, error) {
 	return lns, nil
 }
 
-// ServeMasterScatterPool is ServeMasterPool for a sharded master: the
-// primary listener carries handshakes and model broadcasts, and shardLns
-// (one per master shard, in shard order) receive the workers' scattered
-// reply slices. n is the cluster size (worker indices are validated against
-// it), alive the number of workers that will dial. Every worker must be
-// given the shard listeners' addresses (Assign.ShardPorts /
-// WorkerEnv.ShardAddrs) and the same shard count in its spec. The caller
-// owns the listeners; Close on the returned fabric closes them.
-func ServeMasterScatterPool(ln net.Listener, shardLns []net.Listener, n, alive int, timeout time.Duration, codecName string, pool *BufferPool, comm CommOptions, dim int) (Fabric, error) {
-	cp, err := comm.resolve(dim)
-	if err != nil {
-		return nil, err
-	}
-	shards := len(shardLns)
-	primary, err := acceptWorkers(ln, alive, timeout, codecName, pool, comm, dim, shards)
-	if err != nil {
-		return nil, err
-	}
-	fab, err := newScatterFabric(primary, shardLns, n, alive, timeout, codecName, pool, cp, dim, shards)
-	if err != nil {
-		primary.Close()
-		return nil, err
-	}
-	return fab, nil
-}
-
 // dialShards opens the worker side of the scatter plane: one connection per
 // shard address, each handshaking with the worker's identity and shard
 // count. Returns the per-shard frame codecs and a closer.
-func dialShards(addrs []string, env WorkerEnv, cp commPlane, dim int) ([]frameCodec, func(), error) {
+func dialShards(addrs []string, env WorkerEnv, cp commPlane, dim int) ([]*wireCodec, func(), error) {
 	scp, err := scatterCommPlane(cp, dim)
 	if err != nil {
 		return nil, nil, err
@@ -336,7 +303,7 @@ func dialShards(addrs []string, env WorkerEnv, cp commPlane, dim int) ([]frameCo
 			c.Close()
 		}
 	}
-	codecs := make([]frameCodec, 0, len(addrs))
+	codecs := make([]*wireCodec, 0, len(addrs))
 	for s, addr := range addrs {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -344,11 +311,7 @@ func dialShards(addrs []string, env WorkerEnv, cp commPlane, dim int) ([]frameCo
 			return nil, nil, fmt.Errorf("cluster: worker %d dial shard %d: %w", env.Index, s, err)
 		}
 		conns = append(conns, conn)
-		codec, err := newFrameCodec(env.Codec, conn, nil, scp)
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
+		codec := newWireCodec(conn, nil, scp)
 		h := scp.hello(env.Index)
 		h.Shards = len(addrs)
 		if err := codec.WriteHello(h); err != nil {
@@ -366,7 +329,7 @@ func dialShards(addrs []string, env WorkerEnv, cp commPlane, dim int) ([]frameCo
 // The slice headers repeat the reply metadata so each shard frame is
 // self-contained. Payload buffers are recycled once every slice is on the
 // wire.
-func scatterSend(codecs []frameCodec, bounds []int, coder *wire.VecCoder, bufs *BufferPool) func(Reply) error {
+func scatterSend(codecs []*wireCodec, bounds []int, coder *wire.VecCoder, bufs *BufferPool) func(Reply) error {
 	// Reusable per-shard message scratch; the backing arrays grow once.
 	scratch := make([][]coding.Message, len(codecs))
 	return func(r Reply) error {

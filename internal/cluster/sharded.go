@@ -273,23 +273,7 @@ func (ms *masterShards) finishIteration(st *IterStats) error {
 // per-shard listeners, else each slice's width-proportional share of the
 // iteration's modelled payload bytes.
 func (ms *masterShards) account(st *IterStats) {
-	var measured []int64
-	if ms.swc != nil {
-		// A transport may expose the capability but have no per-shard wire
-		// (live transport over the channel fabric returns nil) — modelled
-		// accounting then.
-		measured = ms.swc.ShardWireIn()
-	}
-	if len(measured) > 0 {
-		for s := range ms.stats {
-			if s < len(measured) {
-				ms.stats[s].SliceBytesIn = measured[s]
-				if s < len(ms.swcBase) {
-					ms.stats[s].SliceBytesIn -= ms.swcBase[s]
-				}
-			}
-		}
-	} else if ms.dim > 0 {
+	if !ms.measureSlices() && ms.dim > 0 {
 		for s := range ms.stats {
 			width := ms.bounds[s+1] - ms.bounds[s]
 			ms.stats[s].SliceBytesIn += int64(st.Bytes) * int64(width) / int64(ms.dim)
@@ -303,8 +287,35 @@ func (ms *masterShards) account(st *IterStats) {
 	}
 }
 
+// measureSlices sets SliceBytesIn from the transport's per-shard wire
+// counters and reports whether it could. A transport may expose the
+// capability but have no per-shard wire (live transport over the channel
+// fabric returns nil) — modelled accounting then.
+func (ms *masterShards) measureSlices() bool {
+	var measured []int64
+	if ms.swc != nil {
+		measured = ms.swc.ShardWireIn()
+	}
+	if len(measured) == 0 {
+		return false
+	}
+	for s := range ms.stats {
+		if s < len(measured) {
+			ms.stats[s].SliceBytesIn = measured[s]
+			if s < len(ms.swcBase) {
+				ms.stats[s].SliceBytesIn -= ms.swcBase[s]
+			}
+		}
+	}
+	return true
+}
+
 // snapshot returns a copy of the cumulative shard stats (for Result.Shards).
+// Measured slice bytes are re-read first: a draining transport has taken
+// the straggler tail off the shard sockets since the last iteration, and
+// Result.TotalWireIn counts that tail too.
 func (ms *masterShards) snapshot() []ShardStats {
+	ms.measureSlices()
 	out := make([]ShardStats, len(ms.stats))
 	copy(out, ms.stats)
 	return out

@@ -7,41 +7,32 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bcc/internal/wire"
 )
 
 // The TCP fabric runs the identical master/worker protocol over real
 // loopback sockets — the messages genuinely leave the process boundary
 // through the kernel's TCP stack. It backs both the in-process
 // RunLive(..., TCP: true) mode and the multi-process cmd/bcccluster tool.
-// Frames are encoded by a pluggable codec: "gob" (default) or the compact
-// "wire" binary codec (LiveOptions.Codec); both endpoints must agree.
-
-// Hello is the first frame a worker sends after dialing. Beyond the worker
-// index it carries the worker's resolved comm-plane parameters — payload
-// codec name, top-K count and effective chunk size — which the master
-// verifies against its own before admitting the connection: a codec mismatch
-// would silently corrupt every payload, so it is rejected at handshake time.
-type Hello struct {
-	Worker  int
-	Payload string
-	TopK    int
-	Chunk   int
-	// Shards is the master-shard count the worker was configured with (0 =
-	// unsharded). Under the scatter data plane (scatter.go) workers slice
-	// every reply across per-shard listeners, so a shard-map disagreement
-	// would land coordinates on the wrong shard; the handshake rejects it
-	// like a codec mismatch.
-	Shards int
-}
+// Every connection speaks the wire package's binary frames (wireCodec). The
+// first frame a worker sends is a wire.Hello carrying its index and resolved
+// comm-plane parameters — payload codec, top-K, effective chunk size and
+// master-shard count — which the master verifies against its own before
+// admitting the connection: a mismatch would silently corrupt every payload,
+// so it is rejected at handshake time.
 
 type tcpFabric struct {
 	ln      net.Listener
 	conns   []net.Conn
-	codecs  []frameCodec
+	codecs  []*wireCodec
 	replies chan Reply
 	alive   int
 	mu      sync.Mutex
 	closed  bool
+	// done is closed by Close, releasing readers blocked handing a reply to
+	// an engine that has stopped receiving (a cancelled or failed run).
+	done chan struct{}
 	// readers tracks the per-connection reader goroutines so DrainFabric can
 	// wait for every worker's clean close before the master tears the
 	// connections down.
@@ -61,7 +52,7 @@ func (f *tcpFabric) WireTotals() (in, out int64) {
 // countingConn counts every byte crossing a master-side connection into the
 // fabric's totals. Wrapping the conn (rather than instrumenting codecs) means
 // the count is the genuine wire traffic: frame headers, handshakes and
-// payloads alike, for any frame codec.
+// payloads alike.
 type countingConn struct {
 	net.Conn
 	in, out *atomic.Int64
@@ -91,6 +82,9 @@ func (c countingConn) Write(p []byte) (int, error) {
 // goroutine per alive worker that dials it, and wires reader goroutines
 // into the replies channel.
 func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
+	if opts.Codec != "" && opts.Codec != "wire" {
+		return nil, fmt.Errorf("cluster: unknown frame codec %q (wire is the only TCP frame format)", opts.Codec)
+	}
 	_, n, _ := cfg.Plan.Params()
 	dead := cfg.deadSet()
 	alive := n - len(dead)
@@ -138,7 +132,6 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 			Units:              cfg.Units,
 			Latency:            cfg.latency(),
 			TimeScale:          opts.TimeScale,
-			Codec:              opts.Codec,
 			Comm:               cfg.Comm,
 			Faults:             cfg.Faults,
 			ComputeParallelism: cfg.ComputeParallelism,
@@ -148,60 +141,63 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 		go func() { _ = DialAndServeWorker(addr, env) }()
 	}
 
-	primary, err := acceptWorkers(ln, alive, opts.Timeout, opts.Codec, cfg.buffers(), cfg.Comm, cfg.Model.Dim(), shards)
+	fab, err := ServeMaster(ln, shardLns, n, alive, opts.Timeout, cfg.buffers(), cfg.Comm, cfg.Model.Dim())
 	if err != nil {
 		closeShards()
 		ln.Close()
 		return nil, err
 	}
-	if shards == 0 {
-		return primary, nil
-	}
-	fab, err := newScatterFabric(primary, shardLns, n, alive, opts.Timeout, opts.Codec, cfg.buffers(), cfg.comm(), cfg.Model.Dim(), shards)
-	if err != nil {
-		primary.Close()
-		return nil, err
-	}
 	return fab, nil
+}
+
+// acceptConn accepts one connection on ln, deadline-bound when timeout > 0
+// and the listener supports it (TCP listeners do; wrappers forward it), so a
+// worker that never dials cannot wedge the master.
+func acceptConn(ln net.Listener, timeout time.Duration) (net.Conn, error) {
+	if tl, ok := ln.(interface{ SetDeadline(time.Time) error }); ok && timeout > 0 {
+		if err := tl.SetDeadline(time.Now().Add(timeout)); err != nil {
+			return nil, err
+		}
+	}
+	return ln.Accept()
+}
+
+// readHello reads an accepted connection's handshake frame under the same
+// timeout as the accept, so a peer that connects and sends nothing cannot
+// wedge the master either. The deadline is cleared afterwards: the
+// connection's reply reader is long-lived and blocks between iterations.
+func readHello(conn net.Conn, codec *wireCodec, timeout time.Duration) (wire.Hello, error) {
+	if timeout > 0 {
+		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+			return wire.Hello{}, err
+		}
+	}
+	h, err := codec.ReadHello()
+	if err != nil {
+		return wire.Hello{}, err
+	}
+	return h, conn.SetReadDeadline(time.Time{})
 }
 
 // acceptWorkers accepts exactly `alive` handshaking connections on ln and
 // assembles the fabric around them. pool, if non-nil, backs the codecs'
-// reply deserialization so gradient payloads land in recycled buffers. comm
-// and dim resolve the master's comm plane; each worker's hello must declare
-// the same payload codec, top-K and chunk size — and the same master-shard
-// count `shards` (0 = unsharded) — or the handshake fails.
-func acceptWorkers(ln net.Listener, alive int, timeout time.Duration, codecName string, pool *BufferPool, comm CommOptions, dim, shards int) (*tcpFabric, error) {
-	cp, err := comm.resolve(dim)
-	if err != nil {
-		return nil, err
-	}
-	f := &tcpFabric{ln: ln, replies: make(chan Reply, alive*4+4), alive: alive}
+// reply deserialization so gradient payloads land in recycled buffers. Each
+// worker's hello must name an index in [0, n) and declare the master's comm
+// plane cp — payload codec, top-K and chunk size — and master-shard count
+// `shards` (0 = unsharded), or the handshake fails.
+func acceptWorkers(ln net.Listener, n, alive int, timeout time.Duration, pool *BufferPool, cp commPlane, dim, shards int) (*tcpFabric, error) {
+	f := &tcpFabric{ln: ln, replies: make(chan Reply, alive*4+4), alive: alive, done: make(chan struct{})}
 	f.conns = make([]net.Conn, 0, alive)
-	f.codecs = make([]frameCodec, 0, alive)
+	f.codecs = make([]*wireCodec, 0, alive)
 	for i := 0; i < alive; i++ {
-		// Deadline-bound the accept when the listener supports it (TCP
-		// listeners do; wrappers forward it), so a worker that never dials
-		// cannot wedge the master.
-		if tl, ok := ln.(interface{ SetDeadline(time.Time) error }); ok && timeout > 0 {
-			if err := tl.SetDeadline(time.Now().Add(timeout)); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-		raw, err := ln.Accept()
+		raw, err := acceptConn(ln, timeout)
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("cluster: tcp accept %d/%d: %w", i, alive, err)
 		}
 		conn := countingConn{Conn: raw, in: &f.bytesIn, out: &f.bytesOut}
-		codec, err := newFrameCodec(codecName, conn, pool, cp)
-		if err != nil {
-			conn.Close()
-			f.Close()
-			return nil, err
-		}
-		hello, err := codec.ReadHello()
+		codec := newWireCodec(conn, pool, cp)
+		hello, err := readHello(conn, codec, timeout)
 		if err != nil {
 			conn.Close()
 			f.Close()
@@ -218,20 +214,26 @@ func acceptWorkers(ln net.Listener, alive int, timeout time.Duration, codecName 
 			return nil, fmt.Errorf("cluster: tcp handshake worker %d: shard count mismatch: worker %d, master %d",
 				hello.Worker, hello.Shards, shards)
 		}
+		if hello.Worker < 0 || hello.Worker >= n {
+			conn.Close()
+			f.Close()
+			return nil, fmt.Errorf("cluster: tcp handshake: worker index %d out of range [0,%d)", hello.Worker, n)
+		}
 		f.conns = append(f.conns, conn)
 		f.codecs = append(f.codecs, codec)
-		// Reader: stream this worker's replies into the shared channel.
+		// Reader: stream this worker's replies into the shared channel. A
+		// malformed frame ends the reader, dropping the connection's
+		// replies; the iteration then decodes without them or times out.
 		f.readers.Add(1)
-		go func(codec frameCodec) {
+		go func(codec *wireCodec, worker int) {
 			defer f.readers.Done()
 			for {
-				rep, err := codec.ReadReply()
-				if err != nil {
+				rep, err := codec.ReadReply(worker, dim)
+				if err != nil || !f.deliver(f.replies, rep) {
 					return
 				}
-				f.replies <- rep
 			}
-		}(codec)
+		}(codec, hello.Worker)
 	}
 	return f, nil
 }
@@ -243,6 +245,18 @@ func (f *tcpFabric) Broadcast(mu ModelUpdate) error {
 		}
 	}
 	return nil
+}
+
+// deliver hands a reply from a connection reader to the engine, or reports
+// false once the fabric is closed: nobody receives any more, and the reader
+// must exit rather than block forever on a full channel.
+func (f *tcpFabric) deliver(ch chan<- Reply, rep Reply) bool {
+	select {
+	case ch <- rep:
+		return true
+	case <-f.done:
+		return false
+	}
 }
 
 func (f *tcpFabric) Replies() <-chan Reply { return f.replies }
@@ -305,6 +319,7 @@ func (f *tcpFabric) Close() error {
 		return nil
 	}
 	f.closed = true
+	close(f.done)
 	for _, c := range f.conns {
 		_ = c.Close()
 	}
@@ -314,8 +329,7 @@ func (f *tcpFabric) Close() error {
 // DialAndServeWorker connects to a master at addr, performs the handshake
 // and serves the worker protocol until the connection closes or the master
 // sends a shutdown update. It is used by the in-process TCP runtime and by
-// the out-of-process worker command. env.Codec selects the frame encoding
-// and must match the master's.
+// the out-of-process worker command.
 func DialAndServeWorker(addr string, env WorkerEnv) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -332,10 +346,7 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 	}
 	// The worker's reads are model broadcasts, not replies, so its codec
 	// needs no reply pool.
-	codec, err := newFrameCodec(env.Codec, conn, nil, cp)
-	if err != nil {
-		return err
-	}
+	codec := newWireCodec(conn, nil, cp)
 	if env.Bufs == nil && env.Model != nil {
 		// A TCP worker's payloads are fully serialized by the time WriteReply
 		// returns, so a small private pool recycled in the send path makes
@@ -396,25 +407,43 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 }
 
 // ServeMaster accepts `alive` worker connections on ln and returns a fabric
-// for RunWithFabric; used by cmd/bcccluster where workers are separate
-// processes. codecName must match the workers' ("" = gob), and comm (with
-// the model dimension dim) must match the CommOptions given to every worker
-// — each handshake is verified against it. The caller owns ln's lifetime via
-// the returned fabric's Close. Reply payloads are allocated per frame here
-// (the engine's pool still bounds master-side retention); the in-process TCP
-// runtime wires a shared pool instead.
-func ServeMaster(ln net.Listener, alive int, timeout time.Duration, codecName string, comm CommOptions, dim int) (Fabric, error) {
-	return acceptWorkers(ln, alive, timeout, codecName, nil, comm, dim, 0)
-}
-
-// ServeMasterPool is ServeMaster with a caller-supplied payload-buffer
-// pool: reply payloads deserialize straight into pooled buffers that the
-// engine recycles after each decode, so a long-running host (the service
-// daemon, which runs one engine per job over leased fleet workers) keeps
-// the allocation-free steady state of the in-process TCP runtime. Pass
-// Config.Buffers() of the run the fabric will drive.
-func ServeMasterPool(ln net.Listener, alive int, timeout time.Duration, codecName string, pool *BufferPool, comm CommOptions, dim int) (Fabric, error) {
-	return acceptWorkers(ln, alive, timeout, codecName, pool, comm, dim, 0)
+// for RunWithFabric; used by cmd/bcccluster, where workers are separate
+// processes, by the service daemon over leased fleet workers, and by the
+// in-process TCP runtime. n is the cluster size (worker indices are
+// validated against it). comm (with the model dimension dim) must match the
+// CommOptions given to every worker — each handshake is verified against it.
+// timeout bounds each accept and each handshake read (0 = unbounded).
+//
+// pool, if non-nil, backs reply deserialization: payloads land in pooled
+// buffers that the engine recycles after each decode, so a long-running
+// host keeps the allocation-free steady state (pass Config.Buffers() of the
+// run the fabric will drive). A nil pool allocates each payload.
+//
+// shardLns, if non-empty, makes a sharded master's scatter data plane: one
+// listener per master shard, in shard order, receives the workers' reply
+// slices while ln carries handshakes and model broadcasts (scatter.go).
+// Every worker must be given the shard listeners' addresses
+// (WorkerEnv.ShardAddrs, Assign.ShardPorts) and the same shard count in its
+// spec. Close on the returned fabric closes ln and shardLns; on error the
+// caller still owns shardLns.
+func ServeMaster(ln net.Listener, shardLns []net.Listener, n, alive int, timeout time.Duration, pool *BufferPool, comm CommOptions, dim int) (Fabric, error) {
+	cp, err := comm.resolve(dim)
+	if err != nil {
+		return nil, err
+	}
+	primary, err := acceptWorkers(ln, n, alive, timeout, pool, cp, dim, len(shardLns))
+	if err != nil {
+		return nil, err
+	}
+	if len(shardLns) == 0 {
+		return primary, nil
+	}
+	fab, err := newScatterFabric(primary, shardLns, n, alive, timeout, pool, cp, dim)
+	if err != nil {
+		primary.Close()
+		return nil, err
+	}
+	return fab, nil
 }
 
 // Fabric is the exported face of the master-side substrate, for callers

@@ -448,12 +448,12 @@ func SetDecodeParallelism(d Decoder, workers int) {
 	}
 }
 
-// SliceDecoder is the optional Decoder capability behind streaming decode:
-// a decoder whose output elements are independent can reconstruct an
+// SliceDecoder is the optional Decoder capability behind sliced decode: a
+// decoder whose output elements are independent can reconstruct an
 // arbitrary output slice [lo, hi) on its own. Each slice folds its terms in
 // the serial order, so any partition of [0, p) — the engine's goroutine
-// shards, or the comm plane's wire chunks as they arrive — reproduces
-// DecodeInto bit-for-bit. The ParallelDecoder implementations (cyclicrep,
+// shards, or the sharded master's coordinate slices — reproduces DecodeInto
+// bit-for-bit. The ParallelDecoder implementations (cyclicrep,
 // cyclicmds, the batch-coverage decoders) all provide it, and their
 // DecodeInto parallel paths are sharded over exactly this primitive.
 type SliceDecoder interface {

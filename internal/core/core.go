@@ -111,10 +111,7 @@ var runtimes = map[Runtime]func(ctx context.Context, cfg *cluster.Config, spec S
 		return cluster.RunLiveContext(ctx, cfg, cluster.LiveOptions{TimeScale: spec.TimeScale})
 	},
 	RuntimeTCP: func(ctx context.Context, cfg *cluster.Config, spec Spec) (*cluster.Result, error) {
-		// The compact binary frames: the payload codec shrinks what actually
-		// crosses the socket (gob frames, still selectable in bcccluster via
-		// -frame, carry identical values but fixed-width encodings).
-		return cluster.RunLiveContext(ctx, cfg, cluster.LiveOptions{TimeScale: spec.TimeScale, TCP: true, Codec: "wire"})
+		return cluster.RunLiveContext(ctx, cfg, cluster.LiveOptions{TimeScale: spec.TimeScale, TCP: true})
 	},
 }
 

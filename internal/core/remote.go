@@ -241,7 +241,6 @@ func (j *Job) WorkerEnv(index int) cluster.WorkerEnv {
 		Latency:            lat,
 		TimeScale:          j.Spec.TimeScale,
 		Faults:             j.Faults,
-		Codec:              "wire",
 		Comm:               j.Spec.comm(),
 		ComputeParallelism: j.Spec.ComputeParallelism,
 		Pipelined:          j.Spec.Pipelined,

@@ -553,17 +553,12 @@ func (d *Daemon) runLeased(ctx context.Context, rec *jobRecord, job *core.Job, c
 		}
 	}
 	cln := &countingListener{Listener: ln, in: &d.fleetIn, out: &d.fleetOut}
-	var fab cluster.Fabric
-	if len(shardLns) > 0 {
-		shardClns := make([]net.Listener, len(shardLns))
-		for s, sln := range shardLns {
-			shardClns[s] = &countingListener{Listener: sln, in: &d.fleetIn, out: &d.fleetOut}
-		}
-		fab, err = cluster.ServeMasterScatterPool(cln, shardClns, rec.spec.Workers, len(alive),
-			d.opts.LeaseTimeout, "wire", cfg.Buffers(), job.Comm(), cfg.Model.Dim())
-	} else {
-		fab, err = cluster.ServeMasterPool(cln, len(alive), d.opts.LeaseTimeout, "wire", cfg.Buffers(), job.Comm(), cfg.Model.Dim())
+	var shardClns []net.Listener
+	for _, sln := range shardLns {
+		shardClns = append(shardClns, &countingListener{Listener: sln, in: &d.fleetIn, out: &d.fleetOut})
 	}
+	fab, err := cluster.ServeMaster(cln, shardClns, rec.spec.Workers, len(alive),
+		d.opts.LeaseTimeout, cfg.Buffers(), job.Comm(), cfg.Model.Dim())
 	if err != nil {
 		// acceptWorkers closed the primary listener; assigned workers fail
 		// their dial or handshake and release themselves via Idle frames.
@@ -575,7 +570,6 @@ func (d *Daemon) runLeased(ctx context.Context, rec *jobRecord, job *core.Job, c
 		TimeScale: rec.spec.TimeScale,
 		Timeout:   d.opts.LeaseTimeout,
 		TCP:       true,
-		Codec:     "wire",
 		Drain:     true,
 	})
 	// Wait for each worker's clean close so tearing down the data plane

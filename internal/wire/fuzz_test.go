@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -260,4 +262,66 @@ func checkVecEqual(t *testing.T, i int, which string, got, want []float64) {
 			t.Fatalf("msg %d %s[%d] = %x want %x", i, which, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
 		}
 	}
+}
+
+// oldGobHello is the handshake a worker from before wire became the only TCP
+// frame format sends: encoding/gob's type definition plus the value of the
+// retired cluster.Hello{Worker: 0, Payload: "raw64", Chunk: 512}. Its first
+// byte (the gob message length, 0x47) is no frame kind, so a master meeting
+// a mixed-version worker fails at the handshake instead of misparsing.
+const oldGobHello = "477f0301010548656c6c6f01ff800001050106576f726b657201040001075061796c6f6164010c" +
+	"000104546f704b01040001054368756e6b010400010653686172647301040000000eff800205726177363402fe040000"
+
+// readHelloBytes runs b through the master's handshake read: NextKind, then
+// ReadHello when the kind is a hello.
+func readHelloBytes(b []byte) (Hello, error) {
+	r := NewReader(bytes.NewReader(b))
+	k, err := r.NextKind()
+	if err != nil {
+		return Hello{}, err
+	}
+	if k != KindHello {
+		return Hello{}, fmt.Errorf("frame kind %d, want hello", k)
+	}
+	return r.ReadHello()
+}
+
+// FuzzHello feeds arbitrary bytes through the handshake read: it must never
+// panic, a hello that parses must survive re-encoding unchanged, and every
+// strict prefix of a valid hello must fail with an error.
+func FuzzHello(f *testing.F) {
+	gob, err := hex.DecodeString(oldGobHello)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if h, err := readHelloBytes(gob); err == nil {
+		f.Fatalf("an old gob worker's hello parsed as %+v", h)
+	}
+	var valid bytes.Buffer
+	if err := NewWriter(&valid).WriteHello(Hello{Worker: 3, Codec: PayloadTopK, TopK: 4, Chunk: 512, Shards: 2}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(gob)
+	f.Add([]byte{KindHello})
+	f.Add([]byte{KindHello, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0}) // unknown payload codec
+	f.Add([]byte{KindModel, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		h, err := readHelloBytes(b)
+		if err != nil {
+			return
+		}
+		var enc bytes.Buffer
+		if err := NewWriter(&enc).WriteHello(h); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := readHelloBytes(enc.Bytes()); err != nil || got != h {
+			t.Fatalf("re-encoded hello %+v read back as %+v, %v", h, got, err)
+		}
+		for n := 0; n < enc.Len(); n++ {
+			if _, err := readHelloBytes(enc.Bytes()[:n]); err == nil {
+				t.Fatalf("%d-byte prefix of a %d-byte hello accepted", n, enc.Len())
+			}
+		}
+	})
 }

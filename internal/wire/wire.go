@@ -1,9 +1,8 @@
 // Package wire is a compact, allocation-conscious binary codec for the
-// cluster protocol frames (model broadcasts, worker replies, handshakes).
-// It exists because encoding/gob pays reflection and type-dictionary costs
-// on every 64 KB gradient payload; this codec writes float64 slices as raw
-// little-endian words. The TCP fabric can run on either codec (see
-// cluster.LiveOptions.Codec); both sides of a connection must agree.
+// cluster protocol frames (model broadcasts, worker replies, handshakes) and
+// the service's control frames. It is the only frame format of the TCP
+// fabric: payload vectors travel as raw little-endian words (or their
+// compact f32/top-k forms), with no reflection or type dictionaries.
 //
 // Frame layout (all integers little-endian):
 //
@@ -25,9 +24,7 @@
 // Payload elements move through the codec in chunks of PayloadConfig.Chunk
 // elements (DefaultChunk unless configured): one bufio write / ReadFull per
 // chunk instead of one per word. Chunking is pure staging — the byte stream
-// is identical for every chunk size — but it is also the streaming decode
-// granularity: ReadReplyChunks hands each decoded chunk slice to the caller
-// while later chunks are still in flight.
+// is identical for every chunk size.
 package wire
 
 import (
@@ -430,16 +427,8 @@ func vecBuf(alloc VecAlloc, n int) []float64 {
 	return v
 }
 
-// ChunkFunc observes decoded payload slices: after each chunk of a payload
-// vector is in place the reader calls fn(v, lo, hi) where v[lo:hi] holds the
-// freshly decoded elements. The slice aliases the destination buffer and
-// must not be retained past the enclosing Read call. Top-k payloads arrive
-// as a single logical chunk covering the whole vector (the scatter target
-// must be fully zeroed before any element is final).
-type ChunkFunc func(v []float64, lo, hi int)
-
 // vecRaw reads a raw64 vector body into a buffer from alloc.
-func (r *Reader) vecRaw(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
+func (r *Reader) vecRaw(alloc VecAlloc) ([]float64, error) {
 	n, ok, err := r.vecLen()
 	if err != nil || !ok {
 		return nil, err
@@ -457,16 +446,13 @@ func (r *Reader) vecRaw(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
 		for i := 0; i < k; i++ {
 			v[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
 		}
-		if fn != nil {
-			fn(v, off, off+k)
-		}
 		off += k
 	}
 	return v, nil
 }
 
 // vecF32 reads an f32 vector body, widening each word to float64.
-func (r *Reader) vecF32(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
+func (r *Reader) vecF32(alloc VecAlloc) ([]float64, error) {
 	n, ok, err := r.vecLen()
 	if err != nil || !ok {
 		return nil, err
@@ -484,9 +470,6 @@ func (r *Reader) vecF32(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
 		for i := 0; i < k; i++ {
 			v[off+i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:])))
 		}
-		if fn != nil {
-			fn(v, off, off+k)
-		}
 		off += k
 	}
 	return v, nil
@@ -494,7 +477,7 @@ func (r *Reader) vecF32(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
 
 // vecTopK reads a top-k vector body: k ascending (index, value) pairs
 // scattered into a zero-filled dense buffer.
-func (r *Reader) vecTopK(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
+func (r *Reader) vecTopK(alloc VecAlloc) ([]float64, error) {
 	n, ok, err := r.vecLen()
 	if err != nil || !ok {
 		return nil, err
@@ -531,30 +514,27 @@ func (r *Reader) vecTopK(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
 		}
 		off += m
 	}
-	if fn != nil {
-		fn(v, 0, n)
-	}
 	return v, nil
 }
 
 // vecReply dispatches a reply payload read through the configured codec.
-func (r *Reader) vecReply(alloc VecAlloc, fn ChunkFunc) ([]float64, error) {
+func (r *Reader) vecReply(alloc VecAlloc) ([]float64, error) {
 	switch r.pc.Codec {
 	case PayloadF32:
-		return r.vecF32(alloc, fn)
+		return r.vecF32(alloc)
 	case PayloadTopK:
-		return r.vecTopK(alloc, fn)
+		return r.vecTopK(alloc)
 	}
-	return r.vecRaw(alloc, fn)
+	return r.vecRaw(alloc)
 }
 
 // vecQuery dispatches a model query read (f32 quantizes queries, raw64
 // otherwise — mirroring Writer.vecQuery).
 func (r *Reader) vecQuery() ([]float64, error) {
 	if r.pc.Codec == PayloadF32 {
-		return r.vecF32(nil, nil)
+		return r.vecF32(nil)
 	}
-	return r.vecRaw(nil, nil)
+	return r.vecRaw(nil)
 }
 
 // NextKind reads the next frame's kind byte. Data-plane and control-plane
@@ -629,16 +609,6 @@ func (r *Reader) ReadReply() (Reply, error) {
 // error rep's contents are unspecified. Nil vectors on the wire (the nilLen
 // sentinel) decode to nil without consulting alloc.
 func (r *Reader) ReadReplyInto(rep *Reply, alloc VecAlloc) error {
-	return r.ReadReplyChunks(rep, alloc, nil)
-}
-
-// ReadReplyChunks is ReadReplyInto with streaming decode: onChunk (may be
-// nil) observes each payload slice as soon as its elements are decoded, so
-// the caller can fold chunk slices into a combination buffer while later
-// chunks of the same reply are still in flight on the connection. The slice
-// passed to onChunk is owned by the reply being decoded; the callback must
-// not retain it.
-func (r *Reader) ReadReplyChunks(rep *Reply, alloc VecAlloc, onChunk ChunkFunc) error {
 	iter, err := r.i64()
 	if err != nil {
 		return err
@@ -679,11 +649,11 @@ func (r *Reader) ReadReplyChunks(rep *Reply, alloc VecAlloc, onChunk ChunkFunc) 
 		if err != nil {
 			return err
 		}
-		vec, err := r.vecReply(alloc, onChunk)
+		vec, err := r.vecReply(alloc)
 		if err != nil {
 			return err
 		}
-		imag, err := r.vecReply(alloc, onChunk)
+		imag, err := r.vecReply(alloc)
 		if err != nil {
 			return err
 		}
