@@ -69,6 +69,11 @@ var ErrStalled = cluster.ErrStalled
 // ErrStalled under errors.Is.
 var ErrBelowThreshold = cluster.ErrBelowThreshold
 
+// ErrNonFinite is returned when an iteration's decoded gradient norm is NaN
+// or infinite (a diverging run): the run stops with the iteration named
+// instead of finishing with non-finite weights. Test with errors.Is.
+var ErrNonFinite = cluster.ErrNonFinite
+
 // NewJob generates the synthetic dataset of the paper's §III-C and
 // materializes a training job for the given spec. Misconfigured options —
 // unknown Scheme/Optimizer/Runtime, out-of-range DropProb — fail here with

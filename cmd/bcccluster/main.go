@@ -23,7 +23,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"time"
 
@@ -60,7 +59,7 @@ func main() {
 		faultSd   = fs.Uint64("fault-seed", 0, "seed for the -faults scenario (0 = derive from -seed; must match across processes)")
 		parallel  = fs.Int("parallel", 0, "goroutines per worker for gradient computation (0/1 = serial)")
 		decodePar = fs.Int("decode-parallel", 0, "master: goroutines for the decode combination (0/1 = serial; bit-identical results)")
-		shards    = fs.Int("master-shards", 0, "master shards with scatter data planes on the master port +1..+M (0/1 = unsharded; must match across processes)")
+		shards    = fs.Int("master-shards", 0, "master: coordinate shards that decode and update in parallel in the master process (0/1 = unsharded)")
 		adapt     = fs.Bool("adapt", false, "master: with -scheme nested, retune the redundancy level each iteration with the built-in straggler-tracking controller")
 		adaptWin  = fs.Int("adapt-window", 0, "master: with -adapt, consecutive over-provisioned iterations before stepping the level down (0 = default 3)")
 		progress  = fs.Bool("progress", false, "master: print a live per-iteration progress line")
@@ -96,22 +95,6 @@ func main() {
 
 	comm := cluster.CommOptions{Payload: *codec, TopK: *topk, Chunk: *chunk}
 
-	// The scatter data plane needs no address exchange: shard s of a sharded
-	// master listens on the master port +1+s, and both roles derive that. A
-	// shard count beyond the model's wire chunks is clamped to the number of
-	// non-empty shards so neither role opens (or dials) listeners for shards
-	// that would own empty slices.
-	effShards := *shards
-	if max, err := comm.MaxShards(*dim); err == nil && effShards > max {
-		fmt.Fprintf(os.Stderr, "bcccluster: -master-shards %d exceeds the %d wire chunk(s) of a %d-dim model; using %d\n",
-			*shards, max, *dim, max)
-		effShards = max
-	}
-	shardAddrs, err := shardAddrList(*addr, effShards)
-	if err != nil {
-		fail(err)
-	}
-
 	switch role {
 	case "master":
 		ln, err := net.Listen("tcp", *addr)
@@ -119,22 +102,7 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("master: listening on %s, waiting for %d workers\n", *addr, *n)
-		var shardLns []net.Listener
-		if len(shardAddrs) > 0 {
-			// Bind every derived shard data port before accepting workers: the
-			// ports are implicit (master port +1..+M), so a collision with an
-			// unrelated service must fail fast, naming the port, rather than
-			// surface as a hung worker dial mid-handshake.
-			shardLns = make([]net.Listener, len(shardAddrs))
-			for s, sa := range shardAddrs {
-				if shardLns[s], err = net.Listen("tcp", sa); err != nil {
-					fail(fmt.Errorf("shard %d data port %s is unavailable (derived as master port +%d; pick a master port with %d free successors): %w",
-						s, sa, s+1, len(shardAddrs), err))
-				}
-			}
-			fmt.Printf("master: %d shard data planes on %s .. %s\n", len(shardAddrs), shardAddrs[0], shardAddrs[len(shardAddrs)-1])
-		}
-		fab, err := cluster.ServeMaster(ln, shardLns, *n, *n, *wait, nil, comm, job.Model.Dim())
+		fab, err := cluster.ServeMaster(ln, *n, *n, *wait, nil, comm, job.Model.Dim())
 		if err != nil {
 			fail(err)
 		}
@@ -152,7 +120,7 @@ func main() {
 			Faults:             job.Faults,
 			ComputeParallelism: *parallel,
 			DecodeParallelism:  *decodePar,
-			MasterShards:       effShards,
+			MasterShards:       *shards,
 			Comm:               comm,
 		}
 		if *adapt {
@@ -205,7 +173,6 @@ func main() {
 			Faults:             job.Faults,
 			ComputeParallelism: *parallel,
 			Pipelined:          *pipe,
-			ShardAddrs:         shardAddrs,
 		}
 		fmt.Printf("worker %d: dialing %s\n", *index, *addr)
 		if err := cluster.DialAndServeWorker(*addr, env); err != nil {
@@ -215,27 +182,6 @@ func main() {
 	default:
 		usage()
 	}
-}
-
-// shardAddrList derives the scatter listeners' addresses for a sharded
-// master: shard s lives at the master port +1+s. Returns nil when unsharded.
-func shardAddrList(addr string, shards int) ([]string, error) {
-	if shards <= 1 {
-		return nil, nil
-	}
-	host, portStr, err := net.SplitHostPort(addr)
-	if err != nil {
-		return nil, fmt.Errorf("-master-shards needs an explicit host:port master address: %w", err)
-	}
-	port, err := strconv.Atoi(portStr)
-	if err != nil || port <= 0 {
-		return nil, fmt.Errorf("-master-shards needs a numeric master port, got %q", portStr)
-	}
-	out := make([]string, shards)
-	for s := range out {
-		out[s] = net.JoinHostPort(host, strconv.Itoa(port+1+s))
-	}
-	return out, nil
 }
 
 func usage() {

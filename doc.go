@@ -260,28 +260,23 @@
 // is a wall-clock knob, never a numerics knob, which the conformance matrix
 // pins across every scheme, runtime and fault scenario.
 //
-// Sharding composes with both fabrics. In-process (sim/live, or TCP with a
-// single data plane) the shards are goroutines decoding slices of the shared
-// arrival buffers. On the TCP runtime the data plane itself scatters:
-// a sharded master opens one listener per shard beside the primary
-// (control) listener, the handshake carries the shard map, and each worker
-// splits every encoded reply at the shard boundaries, sending slice frames
-// directly to the owning shard's socket — the lossy payload transform is
-// applied once, before the split, so scatter preserves codec semantics.
-// Per-shard ingress is then MEASURED at each shard socket
-// (ShardStats.SliceBytesIn); in-process runs attribute the modelled payload
-// bytes width-proportionally instead. Result.Shards reports the per-shard
-// totals (decode time, slice bytes, queue depth), JobStatus.Shards and the
-// daemon's /metrics expose the same for service jobs, and checkpoints
-// follow the partition: Job.CheckpointSharded writes one self-describing
-// file per shard (path.shard0 …) and Job.RestoreShardedCheckpoint merges
-// them back into the exact full state, cross-checking shard identity and
-// iteration to reject torn sets — periodic checkpoints (CheckpointEvery)
-// and bcctrain's -checkpoint/-resume take the sharded path automatically
-// whenever MasterShards > 1. BENCH_PR8.json records the
-// committed sweep (single-core host: the rows bound dispatch overhead; the
-// decode slices scale with min(M, cores) on multi-core hosts, exactly like
-// DecodeParallelism).
+// Sharding is the same on every runtime: the shards are goroutines in the
+// master process decoding slices of the shared arrival buffers. On TCP each
+// worker still sends every reply whole on its one connection — the paper's
+// one message per worker — so sharding changes neither the wire format nor
+// the bytes on it. ShardStats.SliceBytesIn attributes each iteration's
+// modelled payload bytes to the shards width-proportionally. Result.Shards
+// reports the per-shard totals (decode time, slice bytes, queue depth),
+// JobStatus.Shards and the daemon's /metrics expose the same for service
+// jobs, and checkpoints follow the partition: Job.CheckpointSharded writes
+// one self-describing file per shard (path.shard0 …) and
+// Job.RestoreShardedCheckpoint merges them back into the exact full state,
+// cross-checking shard identity and iteration to reject torn sets —
+// periodic checkpoints (CheckpointEvery) and bcctrain's -checkpoint/-resume
+// take the sharded path automatically whenever MasterShards > 1.
+// BENCH_PR8.json records the committed sweep (single-core host: the rows
+// bound dispatch overhead; the decode slices scale with min(M, cores) on
+// multi-core hosts, exactly like DecodeParallelism).
 //
 // # Running as a service
 //

@@ -3,8 +3,8 @@
 // sharded run is compared bit-for-bit against its unsharded twin — sharding
 // is a wall-clock knob, never a numerics knob — and the per-shard
 // measurements in Result.Shards are printed. Then the job runs on the TCP
-// runtime, where workers scatter reply slices straight to per-shard sockets
-// and each shard's ingress is measured on the wire. Finally the job
+// runtime, where each worker still sends every reply on its one connection
+// and the shards split the decode in the master process. Finally the job
 // checkpoints one file per shard and a fresh job resumes from the merged
 // set, again bit-identical to an uninterrupted run; a torn set (one shard
 // file missing) is rejected.
@@ -55,7 +55,7 @@ func main() {
 		shards, len(plainRes.FinalW))
 	printShards("sim (modelled slice bytes)", shardRes.Shards)
 
-	// --- 2. TCP: the scatter data plane with measured per-shard bytes. ---
+	// --- 2. TCP: one connection per worker, sharded decode in-process. ---
 	tcp := spec(30)
 	tcp.MasterShards = shards
 	tcp.Runtime = bcc.RuntimeTCP
@@ -68,9 +68,9 @@ func main() {
 			log.Fatalf("tcp coordinate %d differs: %v vs %v", i, plainRes.FinalW[i], tcpRes.FinalW[i])
 		}
 	}
-	fmt.Printf("\ntcp: scatter plane reproduced the sim model exactly; "+
+	fmt.Printf("\ntcp: sharded master reproduced the sim model exactly; "+
 		"total measured wire in/out %d/%d bytes\n", tcpRes.TotalWireIn, tcpRes.TotalWireOut)
-	printShards("tcp (measured at each shard socket)", tcpRes.Shards)
+	printShards("tcp (modelled slice bytes)", tcpRes.Shards)
 
 	// --- 3. Sharded checkpoint: one file per shard, merge-validated. -----
 	dir, err := os.MkdirTemp("", "bcc-sharded")

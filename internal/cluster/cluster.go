@@ -83,8 +83,9 @@ type Config struct {
 	// the model on a dedicated goroutine, while iteration control — arrival
 	// counting, threshold decisions, fault bookkeeping, observer callbacks —
 	// stays on the coordinator. Shard boundaries are aligned to the comm
-	// plane's wire chunk size, and on the TCP runtime workers scatter each
-	// reply's slices directly to per-shard data-plane listeners. Results are
+	// plane's wire chunk size. On the TCP runtime replies still arrive on
+	// each worker's one connection; sharding splits only the master's
+	// in-process decode and update. Results are
 	// bit-for-bit identical to the unsharded master on every runtime (see
 	// sharded.go); schemes or optimizers without slice capabilities fall
 	// back to the serial path silently.
@@ -512,6 +513,13 @@ func evalParts(mod gradientModel, units [][]int, assign []int, q []float64, part
 // decoder still cannot reconstruct the gradient (e.g. too many dead workers
 // for the scheme's redundancy).
 var ErrStalled = errors.New("cluster: all alive workers reported but gradient is not decodable")
+
+// ErrNonFinite is returned when an iteration's decoded gradient has a NaN
+// or infinite norm — a diverging step size, or a model that produced a
+// non-finite gradient. The engine checks after every iteration's update,
+// reports a faults.KindDegraded event and stops, so a run never ends
+// "done" with non-finite weights. The error names the iteration.
+var ErrNonFinite = errors.New("cluster: non-finite gradient")
 
 // ErrBelowThreshold is returned when dead workers or the fault plan leave
 // an iteration with fewer reachable workers than the scheme can possibly

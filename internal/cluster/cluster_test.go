@@ -813,7 +813,7 @@ func TestServeMasterExternalWorkers(t *testing.T) {
 		}
 		go func() { _ = DialAndServeWorker(addr, env) }()
 	}
-	fab, err := ServeMaster(ln, nil, 4, 4, 10*time.Second, nil, CommOptions{}, cfg.Model.Dim())
+	fab, err := ServeMaster(ln, 4, 4, 10*time.Second, nil, CommOptions{}, cfg.Model.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -835,7 +835,7 @@ func TestServeMasterAcceptTimeout(t *testing.T) {
 	}
 	defer ln.Close()
 	// No workers dial: accept must time out rather than hang.
-	if _, err := ServeMaster(ln, nil, 1, 1, 100*time.Millisecond, nil, CommOptions{}, 4); err == nil {
+	if _, err := ServeMaster(ln, 1, 1, 100*time.Millisecond, nil, CommOptions{}, 4); err == nil {
 		t.Fatal("accept with no workers should time out")
 	}
 }

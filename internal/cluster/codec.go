@@ -8,9 +8,9 @@ import (
 	"bcc/internal/wire"
 )
 
-// wireCodec frames one TCP connection of the fabric — primary, scatter shard
-// or worker side — in the wire package's binary format. It is NOT safe for
-// concurrent use in one direction; the read and write halves are independent.
+// wireCodec frames one TCP connection of the fabric, master or worker side,
+// in the wire package's binary format. It is NOT safe for concurrent use in
+// one direction; the read and write halves are independent.
 type wireCodec struct {
 	w *wire.Writer
 	r *wire.Reader
@@ -76,11 +76,10 @@ func (c *wireCodec) WriteReply(r Reply) error {
 
 // ReadReply is the master's reply intake: it reads the next reply frame and
 // refuses one that does not come from worker (the index the connection's
-// hello announced) or whose non-nil payloads are not exactly width elements
-// (the model dimension on a primary connection, the shard's slice width on a
-// scatter one). Callers drop the connection on any error, so a malformed
-// frame never reaches the decoder.
-func (c *wireCodec) ReadReply(worker, width int) (Reply, error) {
+// hello announced) or whose non-nil payloads are not exactly dim elements
+// (the model dimension). Callers drop the connection on any error, so a
+// malformed frame never reaches the decoder.
+func (c *wireCodec) ReadReply(worker, dim int) (Reply, error) {
 	if err := c.expect(wire.KindReply); err != nil {
 		return Reply{}, err
 	}
@@ -94,9 +93,9 @@ func (c *wireCodec) ReadReply(worker, width int) (Reply, error) {
 	rep := Reply{Iter: in.Iter, Worker: in.Worker, Compute: in.Compute}
 	rep.Msgs = make([]coding.Message, len(in.Msgs))
 	for i, m := range in.Msgs {
-		if (m.Vec != nil && len(m.Vec) != width) || (m.Imag != nil && len(m.Imag) != width) {
+		if (m.Vec != nil && len(m.Vec) != dim) || (m.Imag != nil && len(m.Imag) != dim) {
 			return Reply{}, fmt.Errorf("cluster: worker %d reply payload of %d/%d elements, want %d",
-				worker, len(m.Vec), len(m.Imag), width)
+				worker, len(m.Vec), len(m.Imag), dim)
 		}
 		rep.Msgs[i] = coding.Message{From: m.From, Tag: m.Tag, Units: m.Units, Vec: m.Vec, Imag: m.Imag}
 	}

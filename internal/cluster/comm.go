@@ -30,9 +30,9 @@ type CommOptions struct {
 	TopK int
 	// Chunk is the wire framing chunk size in float64 elements (0 = the wire
 	// default, 512). Chunking is staging + streaming granularity only — the
-	// byte stream is identical for every chunk size — but master and TCP
-	// workers must still agree because the sharded master's coordinate
-	// slices are cut at chunk boundaries.
+	// byte stream is identical for every chunk size. It also sets the
+	// sharded master's slice boundaries, and the TCP handshake requires
+	// master and workers to agree on it.
 	Chunk int
 }
 

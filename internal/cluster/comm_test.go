@@ -211,7 +211,7 @@ func TestTCPHandshakeRejectsCodecMismatch(t *testing.T) {
 			Comm: CommOptions{Payload: "f32"},
 		}
 		go func() { _ = DialAndServeWorker(ln.Addr().String(), env) }()
-		_, err = ServeMaster(ln, nil, 4, 1, 5*time.Second, nil, CommOptions{Payload: "topk"}, cfg.Model.Dim())
+		_, err = ServeMaster(ln, 4, 1, 5*time.Second, nil, CommOptions{Payload: "topk"}, cfg.Model.Dim())
 		if err == nil || !strings.Contains(err.Error(), "payload codec mismatch") {
 			t.Fatalf("mismatched handshake accepted: %v", err)
 		}

@@ -131,8 +131,8 @@ func RunTransportContext(ctx context.Context, cfg *Config, tr Transport) (*Resul
 //
 // On cancellation the engine returns the partial Result of the iterations
 // already completed together with ctx.Err(); the in-flight iteration is
-// discarded. Errors without a Result (stall, broken transport) return a nil
-// Result and do not invoke Observer.OnRunEnd.
+// discarded. Errors without a Result (stall, non-finite gradient, broken
+// transport) return a nil Result and do not invoke Observer.OnRunEnd.
 func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) {
 	defer tr.Shutdown()
 	pool := cfg.buffers()
@@ -149,7 +149,7 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 	// fallback; results are identical either way).
 	var shards *masterShards
 	if cfg.MasterShards > 1 {
-		if shards = newMasterShards(cfg, dec, grad, tr); shards != nil {
+		if shards = newMasterShards(cfg, dec, grad); shards != nil {
 			defer shards.stop()
 		}
 	}
@@ -214,8 +214,8 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 	}
 	prevHeard := 0
 	// degraded signals the observer that the run is about to end because
-	// the gradient is unrecoverable; the one place both degrade paths
-	// (fail-fast and stall) report through.
+	// the gradient is unrecoverable or non-finite; the one place every
+	// degrade path (fail-fast, stall, non-finite) reports through.
 	degraded := func(iter int) {
 		if cfg.Observer != nil {
 			cfg.Observer.OnWorkerFault(faults.Event{Iter: iter, Kind: faults.KindDegraded, Worker: -1})
@@ -378,6 +378,10 @@ func runEngine(ctx context.Context, cfg *Config, tr Transport) (*Result, error) 
 		}
 		if finishErr != nil {
 			return nil, finishErr
+		}
+		if math.IsNaN(st.GradNorm) || math.IsInf(st.GradNorm, 0) {
+			degraded(iter)
+			return nil, fmt.Errorf("%w: gradient norm %v at iteration %d", ErrNonFinite, st.GradNorm, iter)
 		}
 		for i, b := range used {
 			pool.Put(b)

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"bcc/internal/faults"
+	"bcc/internal/model"
 )
 
 // Lifecycle tests: context cancellation with partial results and clean
@@ -342,5 +345,68 @@ func TestMultiObserver(t *testing.T) {
 	}
 	if a != 3 || b != 3 {
 		t.Fatalf("fan-out counts a=%d b=%d, want 3 each", a, b)
+	}
+}
+
+// poisonedModel is a model whose gradients turn infinite as soon as the
+// query leaves the origin: iteration 0 (queried at w = 0) decodes a finite
+// gradient, every later iteration a non-finite one.
+type poisonedModel struct{ *model.Logistic }
+
+func (m poisonedModel) SubsetGradient(w []float64, rows []int, out []float64) {
+	m.Logistic.SubsetGradient(w, rows, out)
+	for _, x := range w {
+		if x != 0 {
+			out[0] = math.Inf(1)
+			return
+		}
+	}
+}
+
+// TestNonFiniteGradientDegrades pins the non-finite guard on every runtime:
+// a gradient that turns infinite ends the run with ErrNonFinite naming the
+// iteration, one KindDegraded event, no Result and no leaked goroutines —
+// never a run reported done with non-finite weights.
+func TestNonFiniteGradientDegrades(t *testing.T) {
+	opts := LiveOptions{TimeScale: 1e-6, Timeout: 30 * time.Second}
+	tcpOpts := opts
+	tcpOpts.TCP = true
+	for _, rt := range []struct {
+		name   string
+		shards int
+		run    func(*Config) (*Result, error)
+	}{
+		{"sim", 0, RunSim},
+		{"sim/M=2", 2, RunSim},
+		{"live", 0, func(cfg *Config) (*Result, error) { return RunLive(cfg, opts) }},
+		{"tcp", 0, func(cfg *Config) (*Result, error) { return RunLive(cfg, tcpOpts) }},
+	} {
+		t.Run(rt.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			cfg, mod := buildRun(t, "bcc", 8, 8, 2, 10, 196, Zero{})
+			cfg.Model = poisonedModel{mod}
+			cfg.MasterShards = rt.shards
+			cfg.Comm = CommOptions{Chunk: 4}
+			var degraded []faults.Event
+			iters := 0
+			cfg.Observer = ObserverFuncs{
+				Iteration: func(IterStats) { iters++ },
+				Fault:     func(ev faults.Event) { degraded = append(degraded, ev) },
+			}
+			res, err := rt.run(cfg)
+			if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "iteration 1") {
+				t.Fatalf("err = %v, want ErrNonFinite at iteration 1", err)
+			}
+			if res != nil {
+				t.Fatalf("non-finite run returned a Result with %d iterations", len(res.Iters))
+			}
+			if iters != 1 {
+				t.Fatalf("observer saw %d finished iterations, want 1", iters)
+			}
+			if len(degraded) != 1 || degraded[0].Kind != faults.KindDegraded || degraded[0].Iter != 1 {
+				t.Fatalf("fault events %+v, want one KindDegraded at iteration 1", degraded)
+			}
+			waitNoExtraGoroutines(t, before)
+		})
 	}
 }

@@ -34,7 +34,8 @@ type DecodeEvent struct {
 // fault event taking effect (crashes, restarts, slowdown and partition
 // edges, burst starts — see Config.Faults), in the fault plan's
 // deterministic order, plus once with a KindDegraded event when the run is
-// about to degrade (ErrBelowThreshold fail-fast or a stalled iteration);
+// about to degrade (ErrBelowThreshold fail-fast, a stalled iteration or a
+// non-finite gradient);
 // OnRunEnd fires once with the final Result whenever a run produces one —
 // including the partial Result of a cancelled or early-stopped run. Runs
 // that die without a Result (stall, broken transport) do not call OnRunEnd.

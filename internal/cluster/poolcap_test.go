@@ -69,7 +69,7 @@ func TestDrainFabricWaitsForWorkers(t *testing.T) {
 		}
 		go func() { _ = DialAndServeWorker(addr, env) }()
 	}
-	fab, err := ServeMaster(ln, nil, 6, 6, 10*time.Second, cfg.Buffers(), cfg.Comm, cfg.Model.Dim())
+	fab, err := ServeMaster(ln, 6, 6, 10*time.Second, cfg.Buffers(), cfg.Comm, cfg.Model.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,10 @@ import (
 // RunLive(..., TCP: true) mode and the multi-process cmd/bcccluster tool.
 // Every connection speaks the wire package's binary frames (wireCodec). The
 // first frame a worker sends is a wire.Hello carrying its index and resolved
-// comm-plane parameters — payload codec, top-K, effective chunk size and
-// master-shard count — which the master verifies against its own before
-// admitting the connection: a mismatch would silently corrupt every payload,
-// so it is rejected at handshake time.
+// comm-plane parameters — payload codec, top-K and effective chunk size —
+// which the master verifies against its own before admitting the
+// connection: a mismatch would silently corrupt every payload, so it is
+// rejected at handshake time.
 
 type tcpFabric struct {
 	ln      net.Listener
@@ -93,32 +93,6 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 		return nil, fmt.Errorf("cluster: tcp listen: %w", err)
 	}
 
-	// Sharded masters scatter the data plane: one extra listener per master
-	// shard receives the workers' reply slices (scatter.go).
-	shards := 0
-	var shardLns []net.Listener
-	var shardAddrs []string
-	if cfg.MasterShards > 1 {
-		// Clamped to the chunk count: empty tail shards would each hold an
-		// open data listener (and a scatter goroutine per worker) for a slice
-		// that can never receive a byte.
-		shards = effectiveShards(cfg.Model.Dim(), cfg.MasterShards, cfg.comm().pc.ChunkElems())
-		shardLns, err = listenShards(shards)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		shardAddrs = make([]string, shards)
-		for s, sl := range shardLns {
-			shardAddrs[s] = sl.Addr().String()
-		}
-	}
-	closeShards := func() {
-		for _, sl := range shardLns {
-			sl.Close()
-		}
-	}
-
 	// Spawn workers that dial the listener and speak the protocol.
 	addr := ln.Addr().String()
 	for w := 0; w < n; w++ {
@@ -136,14 +110,12 @@ func newTCPFabric(cfg *Config, opts LiveOptions) (fabric, error) {
 			Faults:             cfg.Faults,
 			ComputeParallelism: cfg.ComputeParallelism,
 			Pipelined:          cfg.Pipelined,
-			ShardAddrs:         shardAddrs,
 		}
 		go func() { _ = DialAndServeWorker(addr, env) }()
 	}
 
-	fab, err := ServeMaster(ln, shardLns, n, alive, opts.Timeout, cfg.buffers(), cfg.Comm, cfg.Model.Dim())
+	fab, err := ServeMaster(ln, n, alive, opts.Timeout, cfg.buffers(), cfg.Comm, cfg.Model.Dim())
 	if err != nil {
-		closeShards()
 		ln.Close()
 		return nil, err
 	}
@@ -183,9 +155,8 @@ func readHello(conn net.Conn, codec *wireCodec, timeout time.Duration) (wire.Hel
 // assembles the fabric around them. pool, if non-nil, backs the codecs'
 // reply deserialization so gradient payloads land in recycled buffers. Each
 // worker's hello must name an index in [0, n) and declare the master's comm
-// plane cp — payload codec, top-K and chunk size — and master-shard count
-// `shards` (0 = unsharded), or the handshake fails.
-func acceptWorkers(ln net.Listener, n, alive int, timeout time.Duration, pool *BufferPool, cp commPlane, dim, shards int) (*tcpFabric, error) {
+// plane cp — payload codec, top-K and chunk size — or the handshake fails.
+func acceptWorkers(ln net.Listener, n, alive int, timeout time.Duration, pool *BufferPool, cp commPlane, dim int) (*tcpFabric, error) {
 	f := &tcpFabric{ln: ln, replies: make(chan Reply, alive*4+4), alive: alive, done: make(chan struct{})}
 	f.conns = make([]net.Conn, 0, alive)
 	f.codecs = make([]*wireCodec, 0, alive)
@@ -208,12 +179,6 @@ func acceptWorkers(ln net.Listener, n, alive int, timeout time.Duration, pool *B
 			f.Close()
 			return nil, fmt.Errorf("cluster: tcp handshake worker %d: %w", hello.Worker, err)
 		}
-		if hello.Shards != shards {
-			conn.Close()
-			f.Close()
-			return nil, fmt.Errorf("cluster: tcp handshake worker %d: shard count mismatch: worker %d, master %d",
-				hello.Worker, hello.Shards, shards)
-		}
 		if hello.Worker < 0 || hello.Worker >= n {
 			conn.Close()
 			f.Close()
@@ -229,7 +194,7 @@ func acceptWorkers(ln net.Listener, n, alive int, timeout time.Duration, pool *B
 			defer f.readers.Done()
 			for {
 				rep, err := codec.ReadReply(worker, dim)
-				if err != nil || !f.deliver(f.replies, rep) {
+				if err != nil || !f.deliver(rep) {
 					return
 				}
 			}
@@ -250,9 +215,9 @@ func (f *tcpFabric) Broadcast(mu ModelUpdate) error {
 // deliver hands a reply from a connection reader to the engine, or reports
 // false once the fabric is closed: nobody receives any more, and the reader
 // must exit rather than block forever on a full channel.
-func (f *tcpFabric) deliver(ch chan<- Reply, rep Reply) bool {
+func (f *tcpFabric) deliver(rep Reply) bool {
 	select {
-	case ch <- rep:
+	case f.replies <- rep:
 		return true
 	case <-f.done:
 		return false
@@ -353,9 +318,7 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 		// the worker's steady-state encode allocation-free too.
 		env.Bufs = NewBufferPool(env.Model.Dim(), 64)
 	}
-	h := cp.hello(env.Index)
-	h.Shards = len(env.ShardAddrs)
-	if err := codec.WriteHello(h); err != nil {
+	if err := codec.WriteHello(cp.hello(env.Index)); err != nil {
 		return fmt.Errorf("cluster: worker %d hello: %w", env.Index, err)
 	}
 	// A dedicated reader streams model updates into a channel so the worker
@@ -391,18 +354,6 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 		recycleMsgs(env.Bufs, r.Msgs)
 		return err
 	}
-	if len(env.ShardAddrs) > 0 {
-		// Sharded master: replies scatter as coordinate slices across the
-		// per-shard connections; the primary connection carries only the
-		// handshake and model broadcasts (scatter.go).
-		shardCodecs, closeShards, err := dialShards(env.ShardAddrs, env, cp, dim)
-		if err != nil {
-			return err
-		}
-		defer closeShards()
-		bounds := shardBounds(dim, len(env.ShardAddrs), cp.pc.ChunkElems())
-		send = scatterSend(shardCodecs, bounds, cp.newCoder(), env.Bufs)
-	}
 	return RunWorker(env, updates, send)
 }
 
@@ -419,31 +370,19 @@ func DialAndServeWorker(addr string, env WorkerEnv) error {
 // host keeps the allocation-free steady state (pass Config.Buffers() of the
 // run the fabric will drive). A nil pool allocates each payload.
 //
-// shardLns, if non-empty, makes a sharded master's scatter data plane: one
-// listener per master shard, in shard order, receives the workers' reply
-// slices while ln carries handshakes and model broadcasts (scatter.go).
-// Every worker must be given the shard listeners' addresses
-// (WorkerEnv.ShardAddrs, Assign.ShardPorts) and the same shard count in its
-// spec. Close on the returned fabric closes ln and shardLns; on error the
-// caller still owns shardLns.
-func ServeMaster(ln net.Listener, shardLns []net.Listener, n, alive int, timeout time.Duration, pool *BufferPool, comm CommOptions, dim int) (Fabric, error) {
+// A sharded master (Config.MasterShards > 1) takes every reply on these
+// same connections: its shards split the decode and update in-process, not
+// the sockets. Close on the returned fabric closes ln.
+func ServeMaster(ln net.Listener, n, alive int, timeout time.Duration, pool *BufferPool, comm CommOptions, dim int) (Fabric, error) {
 	cp, err := comm.resolve(dim)
 	if err != nil {
 		return nil, err
 	}
-	primary, err := acceptWorkers(ln, n, alive, timeout, pool, cp, dim, len(shardLns))
+	f, err := acceptWorkers(ln, n, alive, timeout, pool, cp, dim)
 	if err != nil {
 		return nil, err
 	}
-	if len(shardLns) == 0 {
-		return primary, nil
-	}
-	fab, err := newScatterFabric(primary, shardLns, n, alive, timeout, pool, cp, dim)
-	if err != nil {
-		primary.Close()
-		return nil, err
-	}
-	return fab, nil
+	return f, nil
 }
 
 // Fabric is the exported face of the master-side substrate, for callers

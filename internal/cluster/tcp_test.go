@@ -45,10 +45,10 @@ func (p *rawPeer) reply(t *testing.T, iter, worker int, vec []float64) {
 
 // serveAsync runs ServeMaster in the background and returns its result
 // channel, so a test can dial peers before the accept loop needs them.
-func serveAsync(ln net.Listener, shardLns []net.Listener, n, alive int, timeout time.Duration, comm CommOptions, dim int) <-chan error {
+func serveAsync(ln net.Listener, n, alive int, timeout time.Duration, comm CommOptions, dim int) <-chan error {
 	errc := make(chan error, 1)
 	go func() {
-		fab, err := ServeMaster(ln, shardLns, n, alive, timeout, nil, comm, dim)
+		fab, err := ServeMaster(ln, n, alive, timeout, nil, comm, dim)
 		if err == nil {
 			fab.Close()
 		}
@@ -83,9 +83,8 @@ func readersDone(f *tcpFabric, d time.Duration) bool {
 }
 
 // TestServeMasterHelloTimeout pins the handshake bound: a peer that connects
-// and never sends its hello — on the primary port or on a scatter shard port
-// — ends ServeMaster in an error within about the timeout instead of
-// blocking the master forever.
+// and never sends its hello ends ServeMaster in an error within about the
+// timeout instead of blocking the master forever.
 func TestServeMasterHelloTimeout(t *testing.T) {
 	const timeout = 200 * time.Millisecond
 	const dim = 12
@@ -107,22 +106,14 @@ func TestServeMasterHelloTimeout(t *testing.T) {
 	t.Run("primary", func(t *testing.T) {
 		ln := listen(t)
 		dialPeer(t, ln.Addr().String(), wire.PayloadConfig{})
-		wait(t, serveAsync(ln, nil, 1, 1, timeout, CommOptions{}, dim))
-	})
-	t.Run("shard", func(t *testing.T) {
-		ln := listen(t)
-		shardLns := []net.Listener{listen(t), listen(t)}
-		p := dialPeer(t, ln.Addr().String(), wire.PayloadConfig{})
-		p.hello(t, wire.Hello{Worker: 0, Chunk: wire.DefaultChunk, Shards: 2})
-		dialPeer(t, shardLns[0].Addr().String(), wire.PayloadConfig{})
-		wait(t, serveAsync(ln, shardLns, 1, 1, timeout, CommOptions{}, dim))
+		wait(t, serveAsync(ln, 1, 1, timeout, CommOptions{}, dim))
 	})
 }
 
-// TestPrimaryIntakeRejectsMalformedReplies pins the master's reply intake on
-// the unsharded fabric: a reply whose payload is not the model dimension, or
-// whose worker index is not the one the connection's hello announced, is
-// refused and the connection dropped — nothing after it reaches the engine.
+// TestPrimaryIntakeRejectsMalformedReplies pins the master's reply intake:
+// a reply whose payload is not the model dimension, or whose worker index is
+// not the one the connection's hello announced, is refused and the
+// connection dropped — nothing after it reaches the engine.
 // A well-formed reply sent later than the handshake timeout still arrives,
 // so the hello deadline is cleared once the handshake is done.
 func TestPrimaryIntakeRejectsMalformedReplies(t *testing.T) {
@@ -142,7 +133,7 @@ func TestPrimaryIntakeRejectsMalformedReplies(t *testing.T) {
 			ln := listen(t)
 			p := dialPeer(t, ln.Addr().String(), wire.PayloadConfig{})
 			p.hello(t, wire.Hello{Worker: 0, Chunk: wire.DefaultChunk})
-			fab, err := ServeMaster(ln, nil, 2, 1, timeout, nil, CommOptions{}, dim)
+			fab, err := ServeMaster(ln, 2, 1, timeout, nil, CommOptions{}, dim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,69 +159,5 @@ func TestPrimaryIntakeRejectsMalformedReplies(t *testing.T) {
 			default:
 			}
 		})
-	}
-}
-
-// TestScatterIntakeRejectsOversizedSlice pins the scatter plane's intake: a
-// slice frame wider than its shard is refused with the connection dropped —
-// not a slice-bounds panic in the reader goroutine, which would take the
-// whole process down — and the worker's reply is never assembled.
-func TestScatterIntakeRejectsOversizedSlice(t *testing.T) {
-	const dim, chunk = 12, 4
-	comm := CommOptions{Chunk: chunk}
-	bounds := shardBounds(dim, 2, chunk)
-	ln := listen(t)
-	shardLns := []net.Listener{listen(t), listen(t)}
-	hello := wire.Hello{Worker: 0, Chunk: chunk, Shards: 2}
-	primary := dialPeer(t, ln.Addr().String(), wire.PayloadConfig{Chunk: chunk})
-	primary.hello(t, hello)
-	shards := make([]*rawPeer, 2)
-	for s, sl := range shardLns {
-		shards[s] = dialPeer(t, sl.Addr().String(), wire.PayloadConfig{Chunk: chunk})
-		shards[s].hello(t, hello)
-	}
-	fab, err := ServeMaster(ln, shardLns, 1, 1, 10*time.Second, nil, comm, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fab.Close()
-	slice := func(s, extra int) []float64 {
-		v := make([]float64, bounds[s+1]-bounds[s]+extra)
-		for i := range v {
-			v[i] = float64(bounds[s] + i)
-		}
-		return v
-	}
-	// A well-formed iteration assembles into one full-width reply.
-	shards[0].reply(t, 0, 0, slice(0, 0))
-	shards[1].reply(t, 0, 0, slice(1, 0))
-	select {
-	case rep := <-fab.Replies():
-		for i, x := range rep.Msgs[0].Vec {
-			if x != float64(i) {
-				t.Fatalf("assembled coordinate %d = %v", i, x)
-			}
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("well-formed scatter reply never assembled")
-	}
-	// The last shard's slice of the next iteration runs past the model's
-	// end; a well-formed iteration follows. The worker then hangs up, so
-	// every reader ends once it has consumed what was sent.
-	shards[0].reply(t, 1, 0, slice(0, 0))
-	shards[1].reply(t, 1, 0, slice(1, chunk))
-	shards[0].reply(t, 2, 0, slice(0, 0))
-	shards[1].reply(t, 2, 0, slice(1, 0))
-	primary.conn.Close()
-	for _, p := range shards {
-		p.conn.Close()
-	}
-	if !readersDone(fab.(*scatterFabric).tcpFabric, 10*time.Second) {
-		t.Fatal("readers did not exit")
-	}
-	select {
-	case rep := <-fab.Replies():
-		t.Fatalf("reply %d assembled from an oversized slice", rep.Iter)
-	default:
 	}
 }

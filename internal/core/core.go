@@ -217,32 +217,32 @@ type Spec struct {
 	// --- learning problem (paper §III-C data model) ---
 	// DataPoints is the number of raw training points d (default 100 per
 	// example unit).
-	DataPoints int
+	DataPoints int `json:"data_points,omitempty"`
 	// Dim is the feature dimension p (paper: 8000; default 200).
-	Dim int
+	Dim int `json:"dim,omitempty"`
 	// Separation scales the class means (paper: 1.5).
-	Separation float64
+	Separation float64 `json:"separation,omitempty"`
 	// StandardLabels switches to P(y=+1)=sigma(x^T w*); default is the
 	// paper's rule.
-	StandardLabels bool
+	StandardLabels bool `json:"standard_labels,omitempty"`
 	// Lambda is the L2 regularization strength (paper: 0).
-	Lambda float64
+	Lambda float64 `json:"lambda,omitempty"`
 	// Density, when in (0, 1), generates a SPARSE dataset (CSR storage,
 	// each feature nonzero with this probability) — the news20/RCV1-style
 	// workload class; worker gradient cost drops from O(rows*p) to O(nnz).
 	// 0 (default) and 1 keep the paper's dense generator.
-	Density float64
+	Density float64 `json:"density,omitempty"`
 
 	// --- distribution ---
 	// Examples is m, the number of coded work units.
-	Examples int
+	Examples int `json:"examples,omitempty"`
 	// Workers is n.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// Load is r, the per-worker computational load in units.
-	Load int
+	Load int `json:"load,omitempty"`
 	// Scheme names the gradient code (default SchemeBCC). Untyped string
 	// constants assign directly: Spec{Scheme: "bcc"} keeps working.
-	Scheme Scheme
+	Scheme Scheme `json:"scheme,omitempty"`
 	// AdaptRedundancy enables the built-in straggler-tracking redundancy
 	// controller: every iteration the engine retunes the active level of the
 	// nested gradient code to the cheapest one whose decode threshold covers
@@ -250,115 +250,114 @@ type Spec struct {
 	// Scheme == SchemeNested (the only Retunable scheme). Controller
 	// decisions are a pure function of (seed, fault scenario, arrival
 	// history), so adaptive runs stay bit-identical across runtimes.
-	AdaptRedundancy bool
+	AdaptRedundancy bool `json:"adapt_redundancy,omitempty"`
 	// AdaptWindow is the controller's decrease patience: how many consecutive
 	// over-provisioned iterations it observes before stepping the level down
 	// by one (0 = default 3). Only meaningful with AdaptRedundancy.
-	AdaptWindow int
+	AdaptWindow int `json:"adapt_window,omitempty"`
 
 	// --- optimization ---
 	// Iterations of distributed gradient descent (paper: 100).
-	Iterations int
+	Iterations int `json:"iterations,omitempty"`
 	// StepSize is the constant learning rate (default 0.5).
-	StepSize float64
+	StepSize float64 `json:"step_size,omitempty"`
 	// Optimizer is OptimizerNesterov (default, as in the paper) or
 	// OptimizerGD.
-	Optimizer Optimizer
+	Optimizer Optimizer `json:"optimizer,omitempty"`
 
 	// --- environment ---
 	// Seed drives all randomness; runs with equal specs and seeds are
 	// bit-for-bit reproducible on the sim runtime.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Latency injects straggler behaviour (nil = no delays).
-	Latency cluster.Latency
+	Latency cluster.Latency `json:"-"`
 	// IngressPerUnit is the master's per-message-unit drain cost.
-	IngressPerUnit float64
+	IngressPerUnit float64 `json:"ingress_per_unit,omitempty"`
 	// Dead workers never respond.
-	Dead []int
+	Dead []int `json:"dead,omitempty"`
 	// DropProb makes the master lose each worker transmission independently
 	// with this probability (fault injection for lossy networks; workers do
 	// not retransmit). Must lie in [0, 1).
-	DropProb float64
+	DropProb float64 `json:"drop_prob,omitempty"`
 	// DropSeed seeds the drop draws (only used when DropProb > 0); the
 	// fault pattern is identical across runtimes for a given seed.
-	DropSeed uint64
+	DropSeed uint64 `json:"drop_seed,omitempty"`
 	// Faults, if non-nil, deterministically schedules worker fault events —
 	// crashes/restarts, slowdown windows, partitions, drop bursts — replayed
 	// identically on every runtime (see internal/faults). Takes precedence
 	// over FaultScenario.
-	Faults *faults.Plan
+	Faults *faults.Plan `json:"faults,omitempty"`
 	// FaultScenario names a fault scenario from the library (faults.Names():
 	// steady, flaky-tail, rolling-restart, partition, burst-drop,
 	// slow-decile); the plan is built for Workers workers at NewJob time.
-	FaultScenario string
+	FaultScenario string `json:"fault_scenario,omitempty"`
 	// FaultSeed seeds the scenario's probabilistic rules (0 = derived from
 	// Seed), so the same spec replays the same fault sequence everywhere.
-	FaultSeed uint64
+	FaultSeed uint64 `json:"fault_seed,omitempty"`
 	// ComputeParallelism fans each worker's per-example gradient
 	// computations out over this many goroutines (0/1 = serial); results
 	// are bit-for-bit identical to the serial path.
-	ComputeParallelism int
+	ComputeParallelism int `json:"compute_parallelism,omitempty"`
 	// DecodeParallelism shards the master's per-iteration decode
 	// combination (cyclicrep/cyclicmds/bccmulti) over this many goroutines
 	// (0/1 = serial); element-wise sharding keeps decoded gradients
 	// bit-for-bit identical to the serial path on every runtime.
-	DecodeParallelism int
+	DecodeParallelism int `json:"decode_parallelism,omitempty"`
 	// MasterShards partitions the master's data plane coordinate-wise into
 	// this many contiguous shards (0/1 = unsharded): each shard decodes,
 	// scales and updates its own slice of the model concurrently while a thin
-	// coordinator keeps iteration control centralized. On the TCP runtime the
-	// shards additionally get their own listeners and workers scatter each
-	// reply's coordinate slices to them (the scatter data plane). Results are
+	// coordinator keeps iteration control centralized. On the TCP runtime
+	// replies still arrive on each worker's one connection. Results are
 	// bit-for-bit identical to the unsharded run on every runtime; see
 	// cluster.Config.MasterShards.
-	MasterShards int
+	MasterShards int `json:"master_shards,omitempty"`
 	// Runtime is RuntimeSim (default), RuntimeLive (goroutines+channels)
 	// or RuntimeTCP (goroutines over loopback sockets). All three run the
 	// same master engine over different transports.
-	Runtime Runtime
+	Runtime Runtime `json:"runtime,omitempty"`
 	// Payload selects the comm-plane payload codec: PayloadRaw64 (default,
 	// lossless), PayloadF32 or PayloadTopK. Lossy codecs are deterministic:
 	// the same spec + seed + codec gives bit-identical results on every
 	// runtime, barrier or pipelined.
-	Payload Payload
+	Payload Payload `json:"payload,omitempty"`
 	// TopK is the number of coordinates kept per reply vector under
 	// PayloadTopK (0 = Dim/16 rounded up, the K = p/16 operating point);
 	// setting it with any other codec is an error.
-	TopK int
+	TopK int `json:"top_k,omitempty"`
 	// WireChunk is the wire framing chunk size in float64 elements for the
 	// TCP runtime's "wire" frame codec (0 = default 512). Chunking changes
 	// streaming granularity only, never the bytes or the results.
-	WireChunk int
+	WireChunk int `json:"wire_chunk,omitempty"`
 	// Pipelined broadcasts iteration k+1 the moment iteration k decodes and
 	// cancels straggler work in flight, instead of serializing iterations
 	// at the workers (see cluster.Config.Pipelined).
-	Pipelined bool
+	Pipelined bool `json:"pipelined,omitempty"`
 	// TimeScale converts virtual seconds to real sleeps on live runtimes.
-	TimeScale float64
+	TimeScale float64 `json:"time_scale,omitempty"`
 	// LossEvery records full training loss every k iterations (0 = never).
-	LossEvery int
+	LossEvery int `json:"loss_every,omitempty"`
 	// Trace records per-iteration worker timelines (sim runtime only).
-	Trace *trace.Recorder
+	Trace *trace.Recorder `json:"-"`
 
 	// --- run lifecycle ---
 	// Observer, if non-nil, receives per-iteration callbacks from the
 	// engine loop on every runtime (see cluster.Observer).
-	Observer cluster.Observer
+	Observer cluster.Observer `json:"-"`
 	// StopWhen, if non-nil, ends the run early (no error) after the first
 	// iteration whose final stats satisfy it.
-	StopWhen func(cluster.IterStats) bool
+	StopWhen func(cluster.IterStats) bool `json:"-"`
 	// GradNormTol, if positive, ends the run early once the decoded
 	// gradient's Euclidean norm falls to or below this tolerance. Composes
 	// with StopWhen (either condition stops).
-	GradNormTol float64
+	GradNormTol float64 `json:"grad_norm_tol,omitempty"`
 	// CheckpointEvery, if positive together with CheckpointPath, writes an
 	// optimizer checkpoint to CheckpointPath after every CheckpointEvery-th
 	// iteration (atomically; see Job.Checkpoint). The stored completed
 	// count is cumulative: this run's finished iterations plus any
 	// Job.Resumed base set by RestoreCheckpoint.
-	CheckpointEvery int
+	CheckpointEvery int `json:"-"`
 	// CheckpointPath is where periodic checkpoints are written.
-	CheckpointPath string
+	CheckpointPath string `json:"-"`
 }
 
 func (s *Spec) withDefaults() Spec {
@@ -469,7 +468,7 @@ func (s *Spec) validateOptions() error {
 		// The comm options resolved above, so MaxShards cannot fail here.
 		if max, err := s.comm().MaxShards(s.Dim); err == nil && s.MasterShards > max {
 			return &OptionError{Option: "MasterShards", Value: fmt.Sprintf("%d", s.MasterShards),
-				Reason: fmt.Sprintf("exceeds the %d wire chunk(s) of a %d-dim model — the surplus shards would own empty slices yet still cost listeners and ports", max, s.Dim)}
+				Reason: fmt.Sprintf("exceeds the %d wire chunk(s) of a %d-dim model — the surplus shards would own empty slices", max, s.Dim)}
 		}
 	}
 	if s.FaultScenario != "" && !faults.Known(s.FaultScenario) {

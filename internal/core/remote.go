@@ -1,4 +1,5 @@
-// Remote-job support: the serializable subset of Spec that travels over the
+// Remote-job support: the serializable subset of Spec (the fields with a
+// JSON name; process-local ones are tagged "-") that travels over the
 // service control plane, plus the job-lifecycle vocabulary (IDs, queue
 // states) shared by the daemon, its clients and the fleet workers.
 //
@@ -15,7 +16,6 @@ import (
 	"fmt"
 
 	"bcc/internal/cluster"
-	"bcc/internal/faults"
 )
 
 // JobID identifies a job accepted by a training-service daemon. IDs are
@@ -53,47 +53,6 @@ func (s JobState) Terminal() bool {
 	return false
 }
 
-// remoteSpec is the serializable shadow of Spec: exactly the fields that are
-// pure data. Process-local fields (Latency models, Observer hooks, StopWhen
-// closures, trace recorders, checkpoint paths) cannot travel and are
-// rejected by EncodeSpec with a field-naming error.
-type remoteSpec struct {
-	DataPoints         int          `json:"data_points,omitempty"`
-	Dim                int          `json:"dim,omitempty"`
-	Separation         float64      `json:"separation,omitempty"`
-	StandardLabels     bool         `json:"standard_labels,omitempty"`
-	Lambda             float64      `json:"lambda,omitempty"`
-	Density            float64      `json:"density,omitempty"`
-	Examples           int          `json:"examples,omitempty"`
-	Workers            int          `json:"workers,omitempty"`
-	Load               int          `json:"load,omitempty"`
-	Scheme             Scheme       `json:"scheme,omitempty"`
-	AdaptRedundancy    bool         `json:"adapt_redundancy,omitempty"`
-	AdaptWindow        int          `json:"adapt_window,omitempty"`
-	Iterations         int          `json:"iterations,omitempty"`
-	StepSize           float64      `json:"step_size,omitempty"`
-	Optimizer          Optimizer    `json:"optimizer,omitempty"`
-	Seed               uint64       `json:"seed,omitempty"`
-	IngressPerUnit     float64      `json:"ingress_per_unit,omitempty"`
-	Dead               []int        `json:"dead,omitempty"`
-	DropProb           float64      `json:"drop_prob,omitempty"`
-	DropSeed           uint64       `json:"drop_seed,omitempty"`
-	Faults             *faults.Plan `json:"faults,omitempty"`
-	FaultScenario      string       `json:"fault_scenario,omitempty"`
-	FaultSeed          uint64       `json:"fault_seed,omitempty"`
-	ComputeParallelism int          `json:"compute_parallelism,omitempty"`
-	DecodeParallelism  int          `json:"decode_parallelism,omitempty"`
-	MasterShards       int          `json:"master_shards,omitempty"`
-	Runtime            Runtime      `json:"runtime,omitempty"`
-	Payload            Payload      `json:"payload,omitempty"`
-	TopK               int          `json:"top_k,omitempty"`
-	WireChunk          int          `json:"wire_chunk,omitempty"`
-	Pipelined          bool         `json:"pipelined,omitempty"`
-	TimeScale          float64      `json:"time_scale,omitempty"`
-	LossEvery          int          `json:"loss_every,omitempty"`
-	GradNormTol        float64      `json:"grad_norm_tol,omitempty"`
-}
-
 // EncodeSpec serializes a spec for submission over the control plane. The
 // spec is normalized (defaults applied) and validated first, so daemon and
 // workers decode the identical fully-resolved spec even if their default
@@ -118,42 +77,7 @@ func EncodeSpec(s Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(remoteSpec{
-		DataPoints:         norm.DataPoints,
-		Dim:                norm.Dim,
-		Separation:         norm.Separation,
-		StandardLabels:     norm.StandardLabels,
-		Lambda:             norm.Lambda,
-		Density:            norm.Density,
-		Examples:           norm.Examples,
-		Workers:            norm.Workers,
-		Load:               norm.Load,
-		Scheme:             norm.Scheme,
-		AdaptRedundancy:    norm.AdaptRedundancy,
-		AdaptWindow:        norm.AdaptWindow,
-		Iterations:         norm.Iterations,
-		StepSize:           norm.StepSize,
-		Optimizer:          norm.Optimizer,
-		Seed:               norm.Seed,
-		IngressPerUnit:     norm.IngressPerUnit,
-		Dead:               norm.Dead,
-		DropProb:           norm.DropProb,
-		DropSeed:           norm.DropSeed,
-		Faults:             norm.Faults,
-		FaultScenario:      norm.FaultScenario,
-		FaultSeed:          norm.FaultSeed,
-		ComputeParallelism: norm.ComputeParallelism,
-		DecodeParallelism:  norm.DecodeParallelism,
-		MasterShards:       norm.MasterShards,
-		Runtime:            norm.Runtime,
-		Payload:            norm.Payload,
-		TopK:               norm.TopK,
-		WireChunk:          norm.WireChunk,
-		Pipelined:          norm.Pipelined,
-		TimeScale:          norm.TimeScale,
-		LossEvery:          norm.LossEvery,
-		GradNormTol:        norm.GradNormTol,
-	})
+	return json.Marshal(norm)
 }
 
 // DecodeSpec parses EncodeSpec output back into a validated, normalized
@@ -163,45 +87,9 @@ func EncodeSpec(s Spec) ([]byte, error) {
 func DecodeSpec(data []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var rs remoteSpec
-	if err := dec.Decode(&rs); err != nil {
+	var s Spec
+	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("core: decoding remote spec: %w", err)
-	}
-	s := Spec{
-		DataPoints:         rs.DataPoints,
-		Dim:                rs.Dim,
-		Separation:         rs.Separation,
-		StandardLabels:     rs.StandardLabels,
-		Lambda:             rs.Lambda,
-		Density:            rs.Density,
-		Examples:           rs.Examples,
-		Workers:            rs.Workers,
-		Load:               rs.Load,
-		Scheme:             rs.Scheme,
-		AdaptRedundancy:    rs.AdaptRedundancy,
-		AdaptWindow:        rs.AdaptWindow,
-		Iterations:         rs.Iterations,
-		StepSize:           rs.StepSize,
-		Optimizer:          rs.Optimizer,
-		Seed:               rs.Seed,
-		IngressPerUnit:     rs.IngressPerUnit,
-		Dead:               rs.Dead,
-		DropProb:           rs.DropProb,
-		DropSeed:           rs.DropSeed,
-		Faults:             rs.Faults,
-		FaultScenario:      rs.FaultScenario,
-		FaultSeed:          rs.FaultSeed,
-		ComputeParallelism: rs.ComputeParallelism,
-		DecodeParallelism:  rs.DecodeParallelism,
-		MasterShards:       rs.MasterShards,
-		Runtime:            rs.Runtime,
-		Payload:            rs.Payload,
-		TopK:               rs.TopK,
-		WireChunk:          rs.WireChunk,
-		Pipelined:          rs.Pipelined,
-		TimeScale:          rs.TimeScale,
-		LossEvery:          rs.LossEvery,
-		GradNormTol:        rs.GradNormTol,
 	}
 	return s.Normalized()
 }

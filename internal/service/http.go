@@ -138,7 +138,7 @@ func (d *Daemon) metrics(w http.ResponseWriter, r *http.Request) {
 		for _, s := range shardSamples {
 			fmt.Fprintf(&b, "bcc_shard_decode_ns_total{job=\"%d\",shard=\"%d\"} %d\n", s.job, s.shard, s.decode)
 		}
-		b.WriteString("# HELP bcc_shard_bytes_in_total Payload bytes attributed to each master shard's slice (measured in scatter mode, modelled otherwise).\n# TYPE bcc_shard_bytes_in_total counter\n")
+		b.WriteString("# HELP bcc_shard_bytes_in_total Payload bytes attributed to each master shard's slice (its width-proportional share of the modelled bytes).\n# TYPE bcc_shard_bytes_in_total counter\n")
 		for _, s := range shardSamples {
 			fmt.Fprintf(&b, "bcc_shard_bytes_in_total{job=\"%d\",shard=\"%d\"} %d\n", s.job, s.shard, s.bytesIn)
 		}

@@ -360,6 +360,36 @@ func TestLeaseReleaseOnDegrade(t *testing.T) {
 	}
 }
 
+// TestNonFiniteJobNotDone: a job whose step size makes the iterates overflow
+// ends failed with the engine's non-finite error — never done with NaN
+// weights — and its leases return to the pool for the next job.
+func TestNonFiniteJobNotDone(t *testing.T) {
+	d, stop := startFleet(t, 4, Options{})
+	defer stop()
+
+	spec := tcpSpec(core.SchemeBCC, 4, 35, 10)
+	spec.StepSize, spec.Lambda = 1e300, 1
+	st, err := d.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := d.Wait(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != core.JobFailed || !strings.Contains(fin.Err, cluster.ErrNonFinite.Error()) {
+		t.Fatalf("state %s (%s), want failed with a non-finite gradient", fin.State, fin.Err)
+	}
+
+	next, err := d.Submit(tcpSpec(core.SchemeCyclicRep, 4, 36, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if finNext, err := d.Wait(context.Background(), next.ID); err != nil || finNext.State != core.JobDone {
+		t.Fatalf("job after non-finite: %+v, %v, want done", finNext, err)
+	}
+}
+
 // TestDrainNoGoroutineLeak: a full lifecycle — fleet joins, jobs run, one
 // still running at drain time — tears down with zero leaked goroutines.
 // Drain cancels the in-flight job after the grace context expires and keeps
@@ -490,13 +520,12 @@ func TestHTTPSurface(t *testing.T) {
 	}
 }
 
-// TestShardedJobScatterPlane: a MasterShards job submitted to the daemon
-// runs over the scatter data plane — per-shard listeners opened next to the
-// job's primary port, their ports shipped in every Assign frame, workers
-// writing reply slices directly to the owning shards — and still follows the
+// TestShardedDaemonJob: a MasterShards job submitted to the daemon takes
+// every reply on its leased workers' one data-plane connection each, splits
+// the decode and update over its in-process shards, and still follows the
 // bit-identical trajectory of a solo unsharded run. The job status and the
-// HTTP surfaces expose the measured per-shard counters.
-func TestShardedJobScatterPlane(t *testing.T) {
+// HTTP surfaces expose the per-shard counters.
+func TestShardedDaemonJob(t *testing.T) {
 	d, stop := startFleet(t, 4, Options{HTTPAddr: "127.0.0.1:0"})
 	defer stop()
 
@@ -524,8 +553,8 @@ func TestShardedJobScatterPlane(t *testing.T) {
 	}
 	sameTrajectory(t, "sharded tcp job", res, runSolo(t, solo), false)
 
-	// Per-shard counters: every shard decoded every iteration, and the
-	// scatter listeners measured real payload bytes on every non-empty slice.
+	// Per-shard counters: every shard decoded every iteration, and every
+	// non-empty slice was attributed its share of the payload bytes.
 	if len(fin.Shards) != 4 || len(res.Shards) != 4 {
 		t.Fatalf("shard stats: status has %d, result has %d, want 4", len(fin.Shards), len(res.Shards))
 	}
@@ -535,7 +564,7 @@ func TestShardedJobScatterPlane(t *testing.T) {
 			t.Fatalf("shard %d decoded %d iterations, want 10", ss.Shard, ss.Iters)
 		}
 		if ss.Hi > ss.Lo && ss.SliceBytesIn <= 0 {
-			t.Fatalf("shard %d [%d,%d) measured no bytes", ss.Shard, ss.Lo, ss.Hi)
+			t.Fatalf("shard %d [%d,%d) attributed no bytes", ss.Shard, ss.Lo, ss.Hi)
 		}
 		sum += ss.SliceBytesIn
 	}

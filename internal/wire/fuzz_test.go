@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"bcc/internal/rngutil"
@@ -298,13 +299,13 @@ func FuzzHello(f *testing.F) {
 		f.Fatalf("an old gob worker's hello parsed as %+v", h)
 	}
 	var valid bytes.Buffer
-	if err := NewWriter(&valid).WriteHello(Hello{Worker: 3, Codec: PayloadTopK, TopK: 4, Chunk: 512, Shards: 2}); err != nil {
+	if err := NewWriter(&valid).WriteHello(Hello{Worker: 3, Codec: PayloadTopK, TopK: 4, Chunk: 512}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
 	f.Add(gob)
 	f.Add([]byte{KindHello})
-	f.Add([]byte{KindHello, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0}) // unknown payload codec
+	f.Add([]byte{KindHello, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 2, 0, 0}) // unknown payload codec
 	f.Add([]byte{KindModel, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, err := readHelloBytes(b)
@@ -321,6 +322,113 @@ func FuzzHello(f *testing.F) {
 		for n := 0; n < enc.Len(); n++ {
 			if _, err := readHelloBytes(enc.Bytes()[:n]); err == nil {
 				t.Fatalf("%d-byte prefix of a %d-byte hello accepted", n, enc.Len())
+			}
+		}
+	})
+}
+
+// controlBody is a decoded control frame, ready to be written back through
+// the matching Writer method.
+type controlBody func(*Writer) error
+
+// readControl reads one frame from b the way the daemon and its peers do —
+// NextKind, then the kind's reader — and returns the decoded body. Data-plane
+// kinds (hello, model, reply) return nil, nil: FuzzHello and the reply
+// fuzzers cover them.
+func readControl(b []byte) (controlBody, error) {
+	r := NewReader(bytes.NewReader(b))
+	k, err := r.NextKind()
+	if err != nil {
+		return nil, err
+	}
+	switch k {
+	case KindJoin:
+		j, err := r.ReadJoin()
+		return func(w *Writer) error { return w.WriteJoin(j) }, err
+	case KindAssign:
+		a, err := r.ReadAssign()
+		return func(w *Writer) error { return w.WriteAssign(a) }, err
+	case KindIdle:
+		i, err := r.ReadIdle()
+		return func(w *Writer) error { return w.WriteIdle(i) }, err
+	case KindSubmit:
+		s, err := r.ReadSubmit()
+		return func(w *Writer) error { return w.WriteSubmit(s) }, err
+	case KindStatus:
+		id, err := r.ReadJobID()
+		return func(w *Writer) error { return w.WriteStatus(id) }, err
+	case KindCancel:
+		id, err := r.ReadJobID()
+		return func(w *Writer) error { return w.WriteCancel(id) }, err
+	case KindState:
+		s, err := r.ReadState()
+		return func(w *Writer) error { return w.WriteState(s) }, err
+	}
+	return nil, nil
+}
+
+// controlAllocBound caps what reading one control frame may allocate: the
+// reader's 64 KiB buffer plus at most two blobs (a state frame's error and
+// status) at the blob cap, whatever length prefixes the bytes claim.
+const controlAllocBound = 2*maxBlobLen + 1<<17
+
+// FuzzControl feeds arbitrary bytes through the control-plane readers
+// (join, assign, idle, submit, status, cancel, state): they must never
+// panic, a hostile length prefix must never make a read allocate past the
+// blob cap, a frame that parses must re-encode to bytes that read back to
+// the same frame, and every strict prefix of such a frame must fail.
+func FuzzControl(f *testing.F) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, write := range []func() error{
+		func() error { return w.WriteJoin(Join{Name: "worker-7"}) },
+		func() error {
+			return w.WriteAssign(Assign{Job: 42, Index: 3, Port: 61234, Spec: []byte(`{"workers":4}`)})
+		},
+		func() error { return w.WriteIdle(Idle{Job: 42, Err: "lease torn down"}) },
+		func() error { return w.WriteSubmit(Submit{Spec: []byte(`{"scheme":"bcc"}`)}) },
+		func() error { return w.WriteStatus(17) },
+		func() error { return w.WriteCancel(18) },
+		func() error { return w.WriteState(State{Job: 9, Status: []byte(`{"state":"running"}`)}) },
+	} {
+		buf.Reset()
+		if err := write(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte(nil), buf.Bytes()...))
+	}
+	f.Add([]byte{KindSubmit, 0xff, 0xff, 0xff, 0x7f})                           // ~2 GiB blob length
+	f.Add([]byte{KindJoin, 0, 0, 0x10, 0})                                      // a blob at the cap, body missing
+	f.Add([]byte{KindState, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x10, 0}) // second blob at the cap
+	// An assign with a shard-port list (count 2, ports 7, 8) before the
+	// spec blob, as daemons that still had per-shard ports sent it.
+	f.Add([]byte{KindAssign, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 8, 0, 0, 0, 2, 0, 0, 0, '{', '}'})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		body, err := readControl(b)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > controlAllocBound {
+			t.Fatalf("reading %d bytes allocated %d, cap %d", len(b), grew, controlAllocBound)
+		}
+		if body == nil || err != nil {
+			return
+		}
+		var enc bytes.Buffer
+		if err := body(NewWriter(&enc)); err != nil {
+			t.Fatal(err)
+		}
+		again, err := readControl(enc.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded frame %x does not read back: %v", enc.Bytes(), err)
+		}
+		var enc2 bytes.Buffer
+		if err := again(NewWriter(&enc2)); err != nil || !bytes.Equal(enc2.Bytes(), enc.Bytes()) {
+			t.Fatalf("re-encoded frame %x read back as %x, %v", enc.Bytes(), enc2.Bytes(), err)
+		}
+		for n := 0; n < enc.Len(); n++ {
+			if _, err := readControl(enc.Bytes()[:n]); err == nil {
+				t.Fatalf("%d-byte prefix of a %d-byte control frame accepted", n, enc.Len())
 			}
 		}
 	})
