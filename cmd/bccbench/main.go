@@ -15,8 +15,8 @@
 // across payload sizes and DecodeParallelism), the comm plane (payload
 // codec × dimension × workers over tcp loopback with measured wire bytes),
 // the service plane (jobs × workers throughput through the multi-tenant
-// daemon, queue-vs-run time split), the sharded master (coordinate-
-// partitioned decode plus end-to-end sharded tcp runs at M ∈ {1, 2, 4}),
+// daemon, queue-vs-run time split), the sharded master (end-to-end
+// sharded tcp runs at M ∈ {1, 2, 4}),
 // and the adaptive-redundancy race (nested-adaptive vs every fixed level
 // and the fixed bcc/cyclicmds codes under straggler scenarios, with
 // per-run encoded-part counts), writing a JSON report (-sweep-out, default

@@ -6,12 +6,11 @@ package main
 // payload codec × dimension × workers over real tcp loopback with the
 // engine's measured wire-byte accounting — the service plane: jobs × workers
 // batch throughput through the multi-tenant daemon with the queue-vs-run
-// split of each tenant's lifetime — the sharded master: the
-// coordinate-partitioned decode hot path plus end-to-end sharded tcp runs
-// at M ∈ {1, 2, 4} shards — and the adaptive-redundancy race: the nested
-// family under the AIMD controller vs every fixed level of the same family
-// and the fixed bcc/cyclicmds codes, under straggler scenarios on the sim
-// runtime, scored by encoded parts computed and modelled wall-clock. Run
+// split of each tenant's lifetime — the sharded master: end-to-end sharded
+// tcp runs at M ∈ {1, 2, 4} shards — and the adaptive-redundancy race: the
+// nested family under the AIMD controller vs every fixed level of the same
+// family and the fixed bcc/cyclicmds codes, under straggler scenarios on the
+// sim runtime, scored by encoded parts computed and modelled wall-clock. Run
 // with
 //
 //	bccbench -sweep                       # full sizes, writes BENCH_PR9.json
@@ -42,7 +41,6 @@ import (
 	"bcc/internal/rngutil"
 	"bcc/internal/service"
 	"bcc/internal/vecmath"
-	"bcc/internal/wire"
 )
 
 type sweepGradient struct {
@@ -93,23 +91,17 @@ type sweepService struct {
 }
 
 type sweepSharded struct {
-	// Mode is "decode" (offer + sharded DecodeSliceInto, BenchmarkDecode
-	// methodology) or "endtoend" (full tcp-loopback training run with a
-	// sharded master, benchComm methodology).
-	Mode    string `json:"mode"`
-	Scheme  string `json:"scheme,omitempty"`
-	P       int    `json:"p"`
-	Workers int    `json:"workers,omitempty"`
-	Shards  int    `json:"shards"`
-	Iters   int    `json:"iters,omitempty"`
-	// Decode rows.
-	NsOp     float64 `json:"ns_op,omitempty"`
-	AllocsOp int64   `json:"allocs_op,omitempty"`
-	// End-to-end rows.
+	// Mode is "endtoend": a full tcp-loopback training run with a sharded
+	// master, benchComm methodology.
+	Mode       string  `json:"mode"`
+	Scheme     string  `json:"scheme,omitempty"`
+	P          int     `json:"p"`
+	Workers    int     `json:"workers,omitempty"`
+	Shards     int     `json:"shards"`
+	Iters      int     `json:"iters,omitempty"`
 	WallSec    float64 `json:"wall_s,omitempty"`
 	WireInIter float64 `json:"wire_in_bytes_iter,omitempty"`
-	// VsM1 compares against the shards=1 row of the same cell (ns_op for
-	// decode rows, wall_s for end-to-end rows); < 1 is a speedup.
+	// VsM1 is wall_s over the shards=1 row's wall_s; < 1 is a speedup.
 	VsM1 float64 `json:"vs_m1,omitempty"`
 }
 
@@ -188,9 +180,8 @@ func runSweep(path string, quick bool) error {
 			"comm: f32 halves reply payload words, topk (K=p/16 by default) keeps K index+value pairs per vector — queries stay dense (raw64 under topk, f32-quantized under f32), so wire_out shrinks only under f32",
 			"service: each row submits `jobs` identical tcp jobs (scheme bcc, job_workers each, real loopback sockets) to one in-process daemon leasing from `fleet_workers`; wall is first-submit to last-done, queue_s_total/run_s_total split every job's lifetime into FIFO admission wait vs engine time, and queue_s_max is the worst tenant's wait — rows where jobs*job_workers > fleet_workers show the queueing penalty, rows where it fits show near-zero queue time",
 			"service caveat: on this single-CPU host concurrent tenants time-share one core, so jobs_per_s does not scale with fleet size; the rows still pin the queue-vs-run accounting and the admission behaviour",
-			"sharded decode: BenchmarkDecode methodology with the master-shard split — offer until decodable, then M persistent shard goroutines (the engine's two-channel-ops dispatch) each DecodeSliceInto + scale + UpdateSlice their contiguous chunk-aligned coordinate slice, the in-process masterShards hot path; shards=1 is the same loop on one slice, vs_m1 = ns_op / that row's ns_op; results are bit-identical at every M and allocs_op pins the zero-steady-state-alloc invariant of the sharded engine",
 			"sharded endtoend: the comm-sweep methodology at shards=M — full tcp-loopback run where every reply arrives on its worker's one connection and the sharded engine splits decode and update over M in-process shards; wire_in_bytes_iter therefore equals the unsharded row's; vs_m1 = wall_s / the shards=1 row's wall_s",
-			"sharded caveat: gomaxprocs=1 on this host means shard goroutines time-share one core, so vs_m1 > 1 measures only the dispatch+join overhead of the shard group, not the multi-core decode win; on a multi-core host the decode rows scale with min(M, cores) exactly like DecodeParallelism",
+			"sharded caveat: gomaxprocs=1 on this host means shard goroutines time-share one core, so vs_m1 > 1 measures only the dispatch+join overhead of the shard group, not the multi-core decode win",
 			"adaptive: sim-runtime race at m=n=8, load r=4 (nested levels 1..4), deterministic staggered latency — at full load worker w's compute finishes (w+1) virtual units after broadcast and compute time scales with the active level — so wall_virtual and parts are machine-independent modelled scores (this host is single-core, so counted work beats wall-clock as the compute metric); parts = sum over iterations of level*n encoded parts computed by the cluster (fixed schemes always compute the full load r per worker)",
 			"adaptive policies: 'adaptive' is nested + the AIMD controller (margin 1, window 2); 'nested-L<k>' pins the same family at level k via FixedLevelController; 'bcc'/'cyclicmds' are the fixed codes at load r — every policy sees the identical fault schedule, and vs_max ratios compare against the straggler-proof nested-L4 row of the same scenario",
 			"adaptive headline (bursty-tail: three tail workers slowed 6-8x in 3-iteration bursts every 12, quiet otherwise): only full redundancy rides out the bursts without waiting on a slowed worker, yet it pays 4 parts/worker every quiet iteration; the controller tracks the bursts at level 4 and decays through quiet stretches, completing the same iterations with 25% fewer encoded parts than every fixed code that rides out the bursts (nested-L4, bcc, cyclicmds) at lower modelled wall than nested-L4/cyclicmds, while every lower fixed level that computes fewer parts pays 1.2-2.3x the wall stuck waiting on burst-slowed workers — no fixed row beats the adaptive run on both axes",
@@ -268,25 +259,9 @@ func runSweep(path string, quick bool) error {
 		fmt.Printf("service jobs=%-2d fleet=%-2d wn=%-2d  wall %-7.3fs  %-6.2f jobs/s  queue %-7.3fs run %.3fs\n",
 			s.Jobs, s.Fleet, s.JobWorkers, s.WallSec, s.JobsPerSec, s.QueueSec, s.RunSec)
 	}
-	// Sharded rows: the master-shard split of the decode hot path at the
-	// largest dimension, plus full end-to-end sharded tcp runs. The M=1 row of each cell anchors the vs_m1 ratios.
+	// Sharded rows: full end-to-end sharded tcp runs; the M=1 row anchors
+	// the vs_m1 ratios.
 	shardCounts := []int{1, 2, 4}
-	shardP := dims[len(dims)-1]
-	var decBase float64
-	for _, msh := range shardCounts {
-		row, err := benchShardedDecode("bcc", decM, decN, decR, shardP, msh)
-		if err != nil {
-			return err
-		}
-		if msh == 1 {
-			decBase = row.NsOp
-		} else if decBase > 0 {
-			row.VsM1 = row.NsOp / decBase
-		}
-		rep.Sharded = append(rep.Sharded, row)
-		fmt.Printf("sharded decode   p=%-6d M=%d  %-12.0f ns/op  %d allocs/op  vs_m1 %.3f\n",
-			shardP, msh, row.NsOp, row.AllocsOp, row.VsM1)
-	}
 	e2eP, e2eN := 16384, 4
 	if quick {
 		e2eP = 256
@@ -651,136 +626,6 @@ func benchService(jobs, fleet, jobWorkers, iters int) (sweepService, error) {
 	cancel()
 	wg.Wait()
 	return s, nil
-}
-
-// benchShardedDecode measures the sharded master's per-iteration hot path:
-// offer until decodable, then one goroutine per shard running DecodeSliceInto
-// + gradient scale + UpdateSlice on its chunk-aligned coordinate slice — the
-// masterShards shardLoop body — joined before the coordinator's FinishStep.
-// shards=1 is the same loop over the single full-range slice.
-func benchShardedDecode(scheme string, m, n, r, p, shards int) (sweepSharded, error) {
-	s, err := coding.Lookup(scheme)
-	if err != nil {
-		return sweepSharded{}, err
-	}
-	plan, err := s.Plan(m, n, r, rngutil.New(1))
-	if err != nil {
-		return sweepSharded{}, err
-	}
-	rng := rngutil.New(2)
-	gs := make([][]float64, m)
-	for u := range gs {
-		g := make([]float64, p)
-		for t := range g {
-			g[t] = rng.Normal()
-		}
-		gs[u] = g
-	}
-	assign := plan.Assignments()
-	order := rngutil.New(3).Perm(n)
-	msgs := make([][]coding.Message, n)
-	for _, w := range order {
-		parts := make([][]float64, len(assign[w]))
-		for k, u := range assign[w] {
-			parts[k] = gs[u]
-		}
-		msgs[w] = coding.Encode(plan, w, parts)
-	}
-	dec := plan.NewDecoder()
-	sd, ok := dec.(coding.SliceDecoder)
-	if !ok {
-		return sweepSharded{}, fmt.Errorf("%s decoder does not implement SliceDecoder", scheme)
-	}
-	// The engine's shard map: contiguous ranges aligned to the default wire
-	// chunk (cluster.shardBounds with DefaultChunk).
-	bounds := chunkAlignedBounds(p, shards, wire.DefaultChunk)
-	opt := optimize.NewNesterov(make([]float64, p), optimize.Constant(0.5))
-	scale := 1 / float64(m)
-	dst := make([]float64, p)
-	errs := make([]error, shards)
-	// Persistent shard goroutines with the engine's dispatch — two channel
-	// operations per shard per iteration — so allocs_op reflects the steady
-	// state of the real hot path, not goroutine-spawn cost.
-	work := make([]chan struct{}, shards)
-	done := make(chan int, shards)
-	quit := make(chan struct{})
-	defer close(quit)
-	for sh := 0; sh < shards; sh++ {
-		work[sh] = make(chan struct{}, 1)
-		go func(sh, lo, hi int) {
-			for {
-				select {
-				case <-quit:
-					return
-				case <-work[sh]:
-				}
-				if errs[sh] = sd.DecodeSliceInto(dst, lo, hi); errs[sh] == nil {
-					for t := lo; t < hi; t++ {
-						dst[t] *= scale
-					}
-					opt.UpdateSlice(dst, lo, hi)
-				}
-				done <- sh
-			}
-		}(sh, bounds[sh], bounds[sh+1])
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dec.Reset()
-			for _, w := range order {
-				for _, msg := range msgs[w] {
-					dec.Offer(msg)
-				}
-				if dec.Decodable() {
-					break
-				}
-			}
-			for _, ch := range work {
-				ch <- struct{}{}
-			}
-			for range work {
-				<-done
-			}
-			opt.FinishStep()
-		}
-	})
-	for sh, err := range errs {
-		if err != nil {
-			return sweepSharded{}, fmt.Errorf("sharded decode: shard %d [%d,%d): %w", sh, bounds[sh], bounds[sh+1], err)
-		}
-	}
-	return sweepSharded{
-		Mode:     "decode",
-		Scheme:   scheme,
-		P:        p,
-		Shards:   shards,
-		NsOp:     float64(res.NsPerOp()),
-		AllocsOp: res.AllocsPerOp(),
-	}, nil
-}
-
-// chunkAlignedBounds mirrors the engine's shard map: [0, dim) cut into
-// `shards` contiguous ranges aligned to the wire chunk, earlier shards taking
-// the extra chunk, the final boundary clamped to dim. With more shards than
-// chunks the tail shards own empty (no-op) ranges, exactly like the engine.
-func chunkAlignedBounds(dim, shards, chunk int) []int {
-	nChunks := (dim + chunk - 1) / chunk
-	bounds := make([]int, shards+1)
-	base, extra := nChunks/shards, nChunks%shards
-	at := 0
-	for s := 0; s < shards; s++ {
-		bounds[s] = at * chunk
-		if bounds[s] > dim {
-			bounds[s] = dim
-		}
-		at += base
-		if s < extra {
-			at++
-		}
-	}
-	bounds[shards] = dim
-	return bounds
 }
 
 // benchDecode measures one offer-until-decodable round plus DecodeInto on a

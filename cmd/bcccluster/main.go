@@ -69,31 +69,35 @@ func main() {
 	}
 
 	// Both roles rebuild the identical job — data, placement and fault
-	// schedule — from the shared seeds.
+	// schedule — from the shared seeds, and take their engine config and
+	// worker env from it exactly as the service daemon does.
 	job, err := core.NewJob(core.Spec{
-		DataPoints:    *m * *points,
-		Dim:           *dim,
-		Examples:      *m,
-		Workers:       *n,
-		Load:          *r,
-		Scheme:        core.Scheme(*scheme),
-		Iterations:    *iters,
-		Seed:          *seed,
-		FaultScenario: *faultsN,
-		FaultSeed:     *faultSd,
-		Payload:       core.Payload(*codec),
-		TopK:          *topk,
-		WireChunk:     *chunk,
-		// Validated here (nested-only, non-negative window) even though the
-		// controller below is wired onto the Config directly.
-		AdaptRedundancy: *adapt,
-		AdaptWindow:     *adaptWin,
+		DataPoints:         *m * *points,
+		Dim:                *dim,
+		Examples:           *m,
+		Workers:            *n,
+		Load:               *r,
+		Scheme:             core.Scheme(*scheme),
+		Iterations:         *iters,
+		Seed:               *seed,
+		FaultScenario:      *faultsN,
+		FaultSeed:          *faultSd,
+		Payload:            core.Payload(*codec),
+		TopK:               *topk,
+		WireChunk:          *chunk,
+		Pipelined:          *pipe,
+		DropProb:           *drop,
+		DropSeed:           *dropSeed,
+		ComputeParallelism: *parallel,
+		DecodeParallelism:  *decodePar,
+		MasterShards:       *shards,
+		AdaptRedundancy:    *adapt,
+		AdaptWindow:        *adaptWin,
+		TimeScale:          1,
 	})
 	if err != nil {
 		fail(err)
 	}
-
-	comm := cluster.CommOptions{Payload: *codec, TopK: *topk, Chunk: *chunk}
 
 	switch role {
 	case "master":
@@ -102,30 +106,13 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("master: listening on %s, waiting for %d workers\n", *addr, *n)
-		fab, err := cluster.ServeMaster(ln, *n, *n, *wait, nil, comm, job.Model.Dim())
+		fab, err := cluster.ServeMaster(ln, *n, *n, *wait, nil, job.Comm(), job.Model.Dim())
 		if err != nil {
 			fail(err)
 		}
 		defer fab.Close()
 		fmt.Println("master: all workers connected, training")
-		cfg := &cluster.Config{
-			Plan:               job.Plan,
-			Model:              job.Model,
-			Units:              job.Units,
-			Opt:                job.Opt,
-			Iterations:         *iters,
-			Pipelined:          *pipe,
-			DropProb:           *drop,
-			DropSeed:           *dropSeed,
-			Faults:             job.Faults,
-			ComputeParallelism: *parallel,
-			DecodeParallelism:  *decodePar,
-			MasterShards:       *shards,
-			Comm:               comm,
-		}
-		if *adapt {
-			cfg.Controller = &cluster.AIMDController{Window: *adaptWin}
-		}
+		cfg := job.EngineConfig()
 		if *progress {
 			cfg.Observer = cluster.ObserverFuncs{Iteration: func(st cluster.IterStats) {
 				if st.Level > 0 {
@@ -155,27 +142,15 @@ func main() {
 		fmt.Printf("master: done; avg recovery threshold %.2f, payload bytes %d, wire bytes in/out %d/%d, accuracy %.4f\n",
 			res.AvgWorkersHeard, res.TotalBytes, res.TotalWireIn, res.TotalWireOut, job.Accuracy(res.FinalW))
 		for _, ss := range res.Shards {
-			fmt.Printf("master: shard %d [%d,%d) decode=%.3fms slice-bytes-in=%d\n",
-				ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6, ss.SliceBytesIn)
+			fmt.Printf("master: shard %d [%d,%d) decode=%.3fms over %d iterations\n",
+				ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6, ss.Iters)
 		}
 	case "worker":
 		if *index < 0 || *index >= *n {
 			fail(fmt.Errorf("worker index %d out of range [0,%d)", *index, *n))
 		}
-		env := cluster.WorkerEnv{
-			Index:              *index,
-			Plan:               job.Plan,
-			Model:              job.Model,
-			Units:              job.Units,
-			Latency:            cluster.Zero{},
-			TimeScale:          1,
-			Comm:               comm,
-			Faults:             job.Faults,
-			ComputeParallelism: *parallel,
-			Pipelined:          *pipe,
-		}
 		fmt.Printf("worker %d: dialing %s\n", *index, *addr)
-		if err := cluster.DialAndServeWorker(*addr, env); err != nil {
+		if err := cluster.DialAndServeWorker(*addr, job.WorkerEnv(*index)); err != nil {
 			fail(err)
 		}
 		fmt.Printf("worker %d: shutdown\n", *index)

@@ -242,8 +242,8 @@
 // wire-chunk boundaries (Spec.WireChunk, default 512 elements) into M
 // contiguous ranges, whole chunks distributed as evenly as possible with
 // earlier shards taking the extra chunk; with more shards than chunks the
-// tail shards own empty, no-op ranges. Every process derives the same map
-// from (p, M, chunk) — nothing is negotiated.
+// tail shards own empty, no-op ranges. The map is a pure function of
+// (p, M, chunk) — nothing is negotiated.
 //
 // The split is control plane vs data plane. The coordinator keeps everything
 // sequenced: query broadcasts, arrival intake, offering messages to the
@@ -264,16 +264,13 @@
 // master process decoding slices of the shared arrival buffers. On TCP each
 // worker still sends every reply whole on its one connection — the paper's
 // one message per worker — so sharding changes neither the wire format nor
-// the bytes on it. ShardStats.SliceBytesIn attributes each iteration's
-// modelled payload bytes to the shards width-proportionally. Result.Shards
-// reports the per-shard totals (decode time, slice bytes, queue depth),
-// JobStatus.Shards and the daemon's /metrics expose the same for service
-// jobs, and checkpoints follow the partition: Job.CheckpointSharded writes
-// one self-describing file per shard (path.shard0 …) and
-// Job.RestoreShardedCheckpoint merges them back into the exact full state,
-// cross-checking shard identity and iteration to reject torn sets —
-// periodic checkpoints (CheckpointEvery) and bcctrain's -checkpoint/-resume
-// take the sharded path automatically whenever MasterShards > 1.
+// the bytes on it. Result.Shards reports each shard's range, decode time and
+// decoded iterations; JobStatus.Shards and the daemon's /metrics expose the
+// same for service jobs. Because the whole model lives in one process, a
+// checkpoint is one file at every shard count: Job.Checkpoint, periodic
+// checkpoints (CheckpointEvery) and bcctrain's -checkpoint write the full
+// model, and Job.RestoreCheckpoint resumes it under any MasterShards (a
+// file written at M=4 resumes at M=1 bit-for-bit).
 // BENCH_PR8.json records the committed sweep (single-core host: the rows
 // bound dispatch overhead; the decode slices scale with min(M, cores) on
 // multi-core hosts, exactly like DecodeParallelism).

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -210,9 +209,8 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 }
 
 func TestShardedCheckpointResumeBitExact(t *testing.T) {
-	// A sharded job checkpointing after 10 iterations into per-shard files
-	// and resuming for 10 more must reproduce an uninterrupted 20-iteration
-	// run bit for bit, and the restore must reject a torn shard set.
+	// A sharded job checkpointing after 10 iterations and resuming for 10
+	// more must reproduce an uninterrupted 20-iteration run bit for bit.
 	spec := func(iters int) Spec {
 		return Spec{
 			Examples: 10, Workers: 20, Load: 2,
@@ -237,20 +235,15 @@ func TestShardedCheckpointResumeBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/ckpt.bin"
-	if err := first.CheckpointSharded(path, 10); err != nil {
+	if err := first.Checkpoint(path, 10); err != nil {
 		t.Fatal(err)
-	}
-	for s := 0; s < 3; s++ {
-		if _, err := os.Stat(fmt.Sprintf("%s.shard%d", path, s)); err != nil {
-			t.Fatalf("missing shard file %d: %v", s, err)
-		}
 	}
 
 	resumed, err := NewJob(spec(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	completed, err := resumed.RestoreShardedCheckpoint(path)
+	completed, err := resumed.RestoreCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,18 +257,75 @@ func TestShardedCheckpointResumeBitExact(t *testing.T) {
 	if d := vecmath.MaxAbsDiff(fullRes.FinalW, resRes.FinalW); d != 0 {
 		t.Fatalf("sharded resume diverged from uninterrupted run by %v", d)
 	}
+}
 
-	// Torn set: deleting one shard file must fail the restore, not
-	// silently reassemble a partial state.
-	if err := os.Remove(path + ".shard1"); err != nil {
-		t.Fatal(err)
+func TestShardedCheckpointAnyShardCount(t *testing.T) {
+	// The periodic checkpoint of an M=3 job is one file holding the full
+	// model, so it resumes under any shard count: M=1, 2 and 3 jobs
+	// restored from it must all finish bit-identical to an uninterrupted
+	// M=3 run.
+	spec := func(iters, shards int) Spec {
+		return Spec{
+			Examples: 10, Workers: 20, Load: 2,
+			DataPoints: 80, Dim: 1100, Iterations: iters, Seed: 57,
+			MasterShards: shards, WireChunk: 128,
+		}
 	}
-	torn, err := NewJob(spec(10))
+	full, err := NewJob(spec(20, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := torn.RestoreShardedCheckpoint(path); err == nil {
-		t.Fatal("restore of torn shard set succeeded")
+	fullRes, err := full.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	path := dir + "/auto.ckpt"
+	first := spec(10, 3)
+	first.CheckpointEvery = 10
+	first.CheckpointPath = path
+	job, err := NewJob(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Run(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "auto.ckpt" {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("M=3 checkpoint wrote %v, want exactly [auto.ckpt]", names)
+	}
+
+	for _, m := range []int{1, 2, 3} {
+		resumed, err := NewJob(spec(10, m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		completed, err := resumed.RestoreCheckpoint(path)
+		if err != nil {
+			t.Fatalf("M=%d: %v", m, err)
+		}
+		if completed != 10 {
+			t.Fatalf("M=%d: completed = %d, want 10", m, completed)
+		}
+		res, err := resumed.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := vecmath.MaxAbsDiff(fullRes.FinalW, res.FinalW); d != 0 {
+			t.Fatalf("M=%d resume diverged from the uninterrupted M=3 run by %v", m, d)
+		}
+		if m > 1 && len(res.Shards) != m {
+			t.Fatalf("M=%d resume ran %d shards", m, len(res.Shards))
+		}
 	}
 }
 

@@ -74,11 +74,9 @@ func writeJSON(w http.ResponseWriter, v any) {
 // format is plain text with one sample per line).
 func (d *Daemon) metrics(w http.ResponseWriter, r *http.Request) {
 	type shardSample struct {
-		job     core.JobID
-		shard   int
-		decode  int64
-		bytesIn int64
-		queue   int
+		job    core.JobID
+		shard  int
+		decode int64
 	}
 	type levelSample struct {
 		job      core.JobID
@@ -97,13 +95,10 @@ func (d *Daemon) metrics(w http.ResponseWriter, r *http.Request) {
 		iters += rec.iter
 		queueSecs += st.QueueSeconds
 		runSecs += st.RunSeconds
-		// Per-shard gauges for jobs that have not been collected yet: running
-		// jobs expose live values, finished ones their final counters.
+		// Per-shard decode counters for jobs that have not been collected
+		// yet: running jobs expose live values, finished ones their totals.
 		for _, ss := range rec.shards {
-			shardSamples = append(shardSamples, shardSample{
-				job: rec.id, shard: ss.Shard, decode: ss.DecodeNs,
-				bytesIn: ss.SliceBytesIn, queue: ss.QueueDepth,
-			})
+			shardSamples = append(shardSamples, shardSample{job: rec.id, shard: ss.Shard, decode: ss.DecodeNs})
 		}
 		if rec.level > 0 {
 			levelSamples = append(levelSamples, levelSample{job: rec.id, level: rec.level, switches: rec.levelSwitch})
@@ -137,14 +132,6 @@ func (d *Daemon) metrics(w http.ResponseWriter, r *http.Request) {
 		b.WriteString("# HELP bcc_shard_decode_ns_total Cumulative slice decode+update nanoseconds per master shard.\n# TYPE bcc_shard_decode_ns_total counter\n")
 		for _, s := range shardSamples {
 			fmt.Fprintf(&b, "bcc_shard_decode_ns_total{job=\"%d\",shard=\"%d\"} %d\n", s.job, s.shard, s.decode)
-		}
-		b.WriteString("# HELP bcc_shard_bytes_in_total Payload bytes attributed to each master shard's slice (its width-proportional share of the modelled bytes).\n# TYPE bcc_shard_bytes_in_total counter\n")
-		for _, s := range shardSamples {
-			fmt.Fprintf(&b, "bcc_shard_bytes_in_total{job=\"%d\",shard=\"%d\"} %d\n", s.job, s.shard, s.bytesIn)
-		}
-		b.WriteString("# HELP bcc_shard_queue_depth Pending-work depth per master shard at the last iteration.\n# TYPE bcc_shard_queue_depth gauge\n")
-		for _, s := range shardSamples {
-			fmt.Fprintf(&b, "bcc_shard_queue_depth{job=\"%d\",shard=\"%d\"} %d\n", s.job, s.shard, s.queue)
 		}
 	}
 	if len(levelSamples) > 0 {

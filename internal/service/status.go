@@ -80,9 +80,9 @@ type JobStatus struct {
 	// how many times the level changed between consecutive iterations.
 	Level         int `json:"level,omitempty"`
 	LevelSwitches int `json:"level_switches,omitempty"`
-	// Shards holds the per-shard counters of a sharded-master job (cumulative
-	// decode time, measured or modelled slice bytes, queue depth), absent for
-	// unsharded jobs.
+	// Shards holds the per-shard counters of a sharded-master job (range,
+	// decoded iterations, cumulative decode time), absent for unsharded
+	// jobs.
 	Shards []cluster.ShardStats `json:"shards,omitempty"`
 }
 
