@@ -52,8 +52,8 @@ type Result = cluster.Result
 type IterStats = cluster.IterStats
 
 // ShardStats is one master shard's cumulative measurements on a sharded run
-// (Spec.MasterShards > 1): the owned coordinate range [Lo, Hi), the
-// iterations it decoded and its decode+update time. Reported in
+// (Spec.MasterShards > 1): the owned coordinate range [Lo, Hi) and its
+// decode+update time. Reported in
 // Result.Shards and, for service jobs, in JobStatus.Shards and the /metrics
 // counter bcc_shard_decode_ns_total.
 type ShardStats = cluster.ShardStats

@@ -17,7 +17,9 @@ import (
 	"bcc/internal/coding"
 	"bcc/internal/core"
 	"bcc/internal/coupon"
+	"bcc/internal/dataset"
 	"bcc/internal/experiments"
+	"bcc/internal/model"
 	"bcc/internal/rngutil"
 	"bcc/internal/vecmath"
 )
@@ -574,23 +576,69 @@ func BenchmarkRuntimes(b *testing.B) {
 
 // BenchmarkTCPCodecWire measures a full training run over loopback TCP in
 // the wire frame format; the payload is a p=2048 gradient, so codec overhead
-// is visible.
+// is visible. p=2048 is four wire chunks, so the shards=2 case splits the
+// master's decode and update over two in-process shards.
 func BenchmarkTCPCodecWire(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		job, err := core.NewJob(core.Spec{
-			Examples: 10, Workers: 10, Load: 2,
-			DataPoints: 40, Dim: 2048, Iterations: 5,
-			Seed: 9, Runtime: "tcp", TimeScale: 1e-9,
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				job, err := core.NewJob(core.Spec{
+					Examples: 10, Workers: 10, Load: 2,
+					DataPoints: 40, Dim: 2048, Iterations: 5,
+					Seed: 9, Runtime: "tcp", TimeScale: 1e-9,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfg := &cluster.Config{
+					Plan: job.Plan, Model: job.Model, Units: job.Units, Opt: job.Opt,
+					Iterations: 5, MasterShards: shards,
+				}
+				if _, err := cluster.RunLive(cfg, cluster.LiveOptions{TimeScale: 1e-9, TCP: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
+	}
+}
+
+// BenchmarkGradient measures one full worker-gradient pass
+// (model.FullGradientInto, logistic) over 256 rows at p=16384, on dense
+// storage and on CSR holding the same nonzeros. Dense visits every rows*p
+// entry, CSR only the stored ones; the results are bit-identical.
+func BenchmarkGradient(b *testing.B) {
+	const rows, p = 256, 16384
+	for _, density := range []float64{1, 0.05, 0.01} {
+		ds, err := dataset.Generate(dataset.Config{N: rows, Dim: p, Separation: 1.5, Density: density}, rngutil.New(11))
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := &cluster.Config{
-			Plan: job.Plan, Model: job.Model, Units: job.Units, Opt: job.Opt,
-			Iterations: 5,
+		var denseX, csrX vecmath.AnyMatrix
+		if csr, ok := ds.Sparse(); ok {
+			denseX, csrX = csr.ToDense(), csr
+		} else {
+			m := ds.X.(*vecmath.Matrix)
+			denseX, csrX = m, vecmath.CSRFromDense(m)
 		}
-		if _, err := cluster.RunLive(cfg, cluster.LiveOptions{TimeScale: 1e-9, TCP: true}); err != nil {
-			b.Fatal(err)
+		w := make([]float64, p)
+		rng := rngutil.New(12)
+		for i := range w {
+			w[i] = rng.Normal()
+		}
+		for _, c := range []struct {
+			name string
+			x    vecmath.AnyMatrix
+		}{{"dense", denseX}, {"csr", csrX}} {
+			b.Run(fmt.Sprintf("density=%g/%s", density, c.name), func(b *testing.B) {
+				mod := &model.Logistic{Data: &dataset.Dataset{X: c.x, Y: ds.Y}}
+				out := make([]float64, p)
+				idx := model.AllRows(rows)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					model.FullGradientInto(mod, w, out, idx)
+				}
+			})
 		}
 	}
 }

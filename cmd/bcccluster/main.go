@@ -142,8 +142,8 @@ func main() {
 		fmt.Printf("master: done; avg recovery threshold %.2f, payload bytes %d, wire bytes in/out %d/%d, accuracy %.4f\n",
 			res.AvgWorkersHeard, res.TotalBytes, res.TotalWireIn, res.TotalWireOut, job.Accuracy(res.FinalW))
 		for _, ss := range res.Shards {
-			fmt.Printf("master: shard %d [%d,%d) decode=%.3fms over %d iterations\n",
-				ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6, ss.Iters)
+			fmt.Printf("master: shard %d [%d,%d) decode=%.3fms\n",
+				ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6)
 		}
 	case "worker":
 		if *index < 0 || *index >= *n {

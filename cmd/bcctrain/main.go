@@ -228,8 +228,8 @@ func main() {
 		fmt.Printf("measured wire bytes (in/out):           %d/%d\n", res.TotalWireIn, res.TotalWireOut)
 	}
 	for _, ss := range res.Shards {
-		fmt.Printf("master shard %d [%d,%d): decode=%.3fms over %d iterations\n",
-			ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6, ss.Iters)
+		fmt.Printf("master shard %d [%d,%d): decode=%.3fms\n",
+			ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6)
 	}
 	fmt.Printf("training accuracy:                      %.4f\n", job.Accuracy(res.FinalW))
 
@@ -313,8 +313,8 @@ func submitRemote(addr string, spec core.Spec, progress bool, timeout time.Durat
 		fmt.Printf("measured wire bytes:    %d in / %d out\n", fin.WireIn, fin.WireOut)
 	}
 	for _, ss := range fin.Shards {
-		fmt.Printf("master shard %d [%d,%d): decode=%.3fms over %d iterations\n",
-			ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6, ss.Iters)
+		fmt.Printf("master shard %d [%d,%d): decode=%.3fms\n",
+			ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6)
 	}
 	if fin.Faults > 0 {
 		fmt.Printf("fault events:           %d\n", fin.Faults)

@@ -138,7 +138,10 @@
 // the master decodes. IterStats.Level records the trajectory,
 // Result.LevelSwitches counts re-tunes, and service jobs export both on
 // /metrics. Custom policies implement the bcc.Controller interface; the
-// plan-side capability is bcc.RetunablePlan.
+// plan-side capability is bcc.RetunablePlan. "bccbench -exp adaptive"
+// races the controller against every fixed level and the fixed bcc and
+// cyclicmds codes on the deterministic simulator, scored by encoded parts
+// computed and modelled wall-clock.
 //
 // # Performance: pooled buffers and in-place kernels
 //
@@ -183,13 +186,14 @@
 // master's per-iteration decode combination (cyclicrep/cyclicmds/bccmulti)
 // through the optional coding.ParallelDecoder capability. Neither knob
 // changes any decoded bit on any runtime — parallelism here is a
-// wall-clock knob, never a numerics knob. The compute-plane sweep
+// wall-clock knob, never a numerics knob. The micro benchmarks
 //
-//	bccbench -sweep            # dense-vs-CSR x density, decode x parallelism
+//	go test -run '^$' -bench 'BenchmarkGradient|BenchmarkDecode' .
 //
-// writes BENCH_PR5.json (committed: ~10x worker-gradient speedup at 5%
-// density and p=16384, ~42x at 1%, with the zero-alloc steady state
-// preserved).
+// time dense-vs-CSR worker gradients across densities and decode across
+// payload size and parallelism; the frozen BENCH_PR5.json recorded ~10x
+// worker-gradient speedup at 5% density and p=16384, ~42x at 1%, with the
+// zero-alloc steady state preserved.
 //
 // # The comm plane: payload codecs, chunked frames, measured bytes
 //
@@ -224,10 +228,10 @@
 // report bytes MEASURED at the socket layer — framing included — on the
 // TCP runtime, and zero elsewhere. The lossy codecs preserve the zero
 // steady-state-allocation invariant (selection scratch and staging buffers
-// are per-connection and reused); BENCH_PR6.json records the committed
-// sweep: reply traffic at ~50% of raw64 under f32 and ~6% (16x) under
-// top-K at K=p/16. On a zero-latency loopback the byte savings buy no
-// transfer time, so the sweep's wall column only bounds codec CPU overhead
+// are per-connection and reused); the frozen BENCH_PR6.json recorded reply
+// traffic at ~50% of raw64 under f32 and ~6% (16x) under top-K at K=p/16.
+// On a zero-latency loopback the byte savings buy no transfer time, so its
+// wall column only bounds codec CPU overhead
 // (f32 is free; top-K selection costs O(p log K) per reply) — the latency
 // win of smaller payloads appears when transfer time is real, which the
 // simulator models by scaling upload/ingress latency with the byte
@@ -264,16 +268,16 @@
 // master process decoding slices of the shared arrival buffers. On TCP each
 // worker still sends every reply whole on its one connection — the paper's
 // one message per worker — so sharding changes neither the wire format nor
-// the bytes on it. Result.Shards reports each shard's range, decode time and
-// decoded iterations; JobStatus.Shards and the daemon's /metrics expose the
-// same for service jobs. Because the whole model lives in one process, a
+// the bytes on it. Result.Shards reports each shard's range and decode time;
+// JobStatus.Shards and the daemon's /metrics expose the same for service
+// jobs. Because the whole model lives in one process, a
 // checkpoint is one file at every shard count: Job.Checkpoint, periodic
 // checkpoints (CheckpointEvery) and bcctrain's -checkpoint write the full
 // model, and Job.RestoreCheckpoint resumes it under any MasterShards (a
 // file written at M=4 resumes at M=1 bit-for-bit).
-// BENCH_PR8.json records the committed sweep (single-core host: the rows
-// bound dispatch overhead; the decode slices scale with min(M, cores) on
-// multi-core hosts, exactly like DecodeParallelism).
+// The frozen BENCH_PR8.json recorded sharded runs on a single-core host,
+// where the rows bound dispatch overhead; the decode slices scale with
+// min(M, cores) on multi-core hosts, exactly like DecodeParallelism.
 //
 // # Running as a service
 //
@@ -316,6 +320,16 @@
 //
 //	bccbench -exp all          # fig2, fig4, table1, table2, fig5 + extras
 //
-// See DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured results.
+// "bccbench -list" prints the experiment ids; each table's notes carry its
+// assumptions, the paper's reference values and caveats.
+//
+// # Measuring performance
+//
+// The repository's benchmark is perfbench/ (declared by BENCHMARK.json, run
+// with "bash perfbench/run.sh --workload <name>"): end-to-end workloads on
+// the sim, live, tcp and service paths with per-layer metrics. "go test -bench"
+// is the micro instrument (kernels and paths, with allocation counts) and
+// "bccbench -exp" the virtual-clock one (deterministic simulator scores).
+// BENCH_PR3.json through BENCH_PR9.json are frozen historical records of a
+// retired sweep command; nothing regenerates them.
 package bcc

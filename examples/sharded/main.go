@@ -127,7 +127,7 @@ func specSharded(iters int) bcc.Spec {
 func printShards(label string, stats []bcc.ShardStats) {
 	fmt.Printf("per-shard stats, %s:\n", label)
 	for _, ss := range stats {
-		fmt.Printf("  shard %d owns [%4d,%4d)  decode %6.2fms over %d iterations\n",
-			ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6, ss.Iters)
+		fmt.Printf("  shard %d owns [%4d,%4d)  decode %6.2fms\n",
+			ss.Shard, ss.Lo, ss.Hi, float64(ss.DecodeNs)/1e6)
 	}
 }

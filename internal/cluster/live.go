@@ -333,8 +333,8 @@ type WorkerEnv struct {
 // when it has fallen behind the master's broadcasts — the master discards
 // the stale replies, exactly as the simulator models every alive worker
 // computing every iteration, and the run's reply traffic stays identical
-// run to run (bccbench's comm sweep asserts this reproducibility). An
-// env.Faults plan is consulted before any iteration work: crashed
+// run to run (TestShardedLossyCodecsBitExact pins this across drained
+// runs). An env.Faults plan is consulted before any iteration work: crashed
 // iterations are skipped entirely (no latency draws, no compute, no
 // transmission — exactly what the simulator models) and slowdown windows
 // stretch the latency sleeps.

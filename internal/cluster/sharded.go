@@ -50,8 +50,6 @@ type ShardStats struct {
 	// Lo and Hi are the shard's coordinate range [Lo, Hi).
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
-	// Iters counts iterations this shard has decoded.
-	Iters int `json:"iters"`
 	// DecodeNs is cumulative wall time the shard spent decoding, scaling and
 	// updating its slice, in nanoseconds.
 	DecodeNs int64 `json:"decode_ns"`
@@ -198,7 +196,6 @@ func (ms *masterShards) shardLoop(s int) {
 		ms.errs[s] = err
 		st := &ms.stats[s]
 		st.DecodeNs += time.Since(start).Nanoseconds()
-		st.Iters++
 		ms.done <- s
 	}
 }

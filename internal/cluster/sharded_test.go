@@ -119,7 +119,7 @@ func TestShardedMasterConformance(t *testing.T) {
 // checkShardStats validates the Result.Shards invariants: one entry per
 // effective shard (the configured count clamped to the model's wire-chunk
 // count — empty tail shards are never materialized), ranges partitioning
-// [0, dim), and every shard having decoded every iteration.
+// [0, dim).
 func checkShardStats(t *testing.T, label string, res *Result, m, chunk int) {
 	t.Helper()
 	if len(res.Shards) == 0 {
@@ -136,9 +136,6 @@ func checkShardStats(t *testing.T, label string, res *Result, m, chunk int) {
 			t.Fatalf("%s: shard %d range [%d,%d) does not continue partition at %d", label, s, st.Lo, st.Hi, at)
 		}
 		at = st.Hi
-		if st.Iters != len(res.Iters) {
-			t.Errorf("%s: shard %d decoded %d iterations, run had %d", label, s, st.Iters, len(res.Iters))
-		}
 	}
 }
 
@@ -171,7 +168,8 @@ func TestShardedGoldenTraces(t *testing.T) {
 // payload codecs (topk, f32): it must produce exactly the unsharded
 // runtime's weights, and — since every reply travels the one worker
 // connection in the run's codec whatever the shard count — a drained run's
-// measured ingress must equal the unsharded run's byte for byte.
+// measured ingress and broadcast bytes must equal the unsharded run's byte
+// for byte.
 func TestShardedLossyCodecsBitExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp run sleeps real time")
@@ -200,6 +198,9 @@ func TestShardedLossyCodecsBitExact(t *testing.T) {
 			}
 			if sharded.TotalWireIn != ref.TotalWireIn {
 				t.Fatalf("%s: sharded run read %d wire bytes, unsharded %d", payload, sharded.TotalWireIn, ref.TotalWireIn)
+			}
+			if sharded.TotalWireOut != ref.TotalWireOut || ref.TotalWireOut == 0 {
+				t.Fatalf("%s: sharded run broadcast %d wire bytes, unsharded %d", payload, sharded.TotalWireOut, ref.TotalWireOut)
 			}
 			checkShardStats(t, payload+"/M=2", sharded, 2, 8)
 		})

@@ -290,6 +290,13 @@ func TestNamesComplete(t *testing.T) {
 	if len(names) != len(registry) {
 		t.Fatalf("Names() returned %d of %d experiments", len(names), len(registry))
 	}
+	seen := map[string]bool{}
+	for _, id := range names {
+		if seen[id] {
+			t.Fatalf("experiment id %q registered twice", id)
+		}
+		seen[id] = true
+	}
 }
 
 func TestRunAllQuick(t *testing.T) {

@@ -12,48 +12,35 @@ import (
 // error.
 type Runner func(context.Context, Options) (*Table, error)
 
-// registry maps experiment ids to runners, in the order of DESIGN.md §4.
-var registry = map[string]Runner{
-	"fig2":        Fig2,
-	"fig4":        Fig4,
-	"table1":      Table1,
-	"table2":      Table2,
-	"fig5":        Fig5,
-	"theorem1":    Theorem1,
-	"theorem2":    Theorem2,
-	"commload":    CommLoad,
-	"fractional":  Fractional,
-	"tailbound":   TailBound,
-	"multibatch":  MultiBatch,
-	"approx":      Approx,
-	"skew":        Skew,
-	"heterotrain": HeteroTrain,
-	"convergence": Convergence,
-	"scaling":     Scaling,
-}
-
-// order fixes the presentation order for "all".
-var order = []string{
-	"fig2", "fig4", "table1", "table2", "fig5",
-	"theorem1", "theorem2", "commload", "fractional", "tailbound",
-	"multibatch", "approx", "skew", "heterotrain", "convergence", "scaling",
+// registry lists every experiment in presentation order.
+var registry = []struct {
+	id  string
+	run Runner
+}{
+	{"fig2", Fig2},
+	{"fig4", Fig4},
+	{"table1", Table1},
+	{"table2", Table2},
+	{"fig5", Fig5},
+	{"theorem1", Theorem1},
+	{"theorem2", Theorem2},
+	{"commload", CommLoad},
+	{"fractional", Fractional},
+	{"tailbound", TailBound},
+	{"multibatch", MultiBatch},
+	{"approx", Approx},
+	{"skew", Skew},
+	{"heterotrain", HeteroTrain},
+	{"convergence", Convergence},
+	{"scaling", Scaling},
+	{"adaptive", Adaptive},
 }
 
 // Names lists all experiment ids in presentation order.
 func Names() []string {
-	out := append([]string(nil), order...)
-	// Safety: include any registered id missing from the order slice.
-	for id := range registry {
-		found := false
-		for _, o := range out {
-			if o == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, id)
-		}
+	out := make([]string, len(registry))
+	for i, e := range registry {
+		out[i] = e.id
 	}
 	return out
 }
@@ -61,8 +48,14 @@ func Names() []string {
 // Run executes one experiment by id and renders it to w. ctx bounds the
 // experiment's training runs.
 func Run(ctx context.Context, id string, opt Options, w io.Writer) (*Table, error) {
-	r, ok := registry[id]
-	if !ok {
+	var r Runner
+	for _, e := range registry {
+		if e.id == id {
+			r = e.run
+			break
+		}
+	}
+	if r == nil {
 		known := Names()
 		sort.Strings(known)
 		return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, known)
@@ -80,11 +73,11 @@ func Run(ctx context.Context, id string, opt Options, w io.Writer) (*Table, erro
 // RunAll executes every experiment in order, rendering each to w.
 func RunAll(ctx context.Context, opt Options, w io.Writer) ([]*Table, error) {
 	var tables []*Table
-	for _, id := range order {
+	for _, e := range registry {
 		if err := ctx.Err(); err != nil {
 			return tables, err
 		}
-		t, err := Run(ctx, id, opt, w)
+		t, err := Run(ctx, e.id, opt, w)
 		if err != nil {
 			return tables, err
 		}

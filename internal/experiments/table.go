@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (and a set of extra validation studies), printing aligned text
-// tables and optional CSV. See DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured results.
+// tables and optional CSV. Names lists the experiment ids; each table's
+// notes carry its assumptions, the paper's reference values and caveats.
 package experiments
 
 import (

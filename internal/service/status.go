@@ -81,8 +81,7 @@ type JobStatus struct {
 	Level         int `json:"level,omitempty"`
 	LevelSwitches int `json:"level_switches,omitempty"`
 	// Shards holds the per-shard counters of a sharded-master job (range,
-	// decoded iterations, cumulative decode time), absent for unsharded
-	// jobs.
+	// cumulative decode time), absent for unsharded jobs.
 	Shards []cluster.ShardStats `json:"shards,omitempty"`
 }
 
